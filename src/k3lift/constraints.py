@@ -1,13 +1,17 @@
 """Arithmetic gates: Euler phi, tameness, uniqueness orders, prime scans.
 
-Pure integer arithmetic with no ring-context dependencies.  The uniqueness
-set lists the eleven automorphism orders for which a purely non-symplectic
-action pins down the surface uniquely; the scan checks the bound
-phi(p + 1) > 21 for primes p > 60 over a finite range rather than assuming
-it.
+Pure integer arithmetic with no ring-context dependencies, and the one
+home of the package's primality test, factoring and multiplicative orders.
+The uniqueness set lists the eleven automorphism orders for which a purely
+non-symplectic action pins down the surface uniquely; the scan checks the
+bound phi(p + 1) > 21 for primes p > 60 over a finite range rather than
+assuming it.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from math import gcd
 
 from .errors import InputError
 
@@ -17,41 +21,46 @@ TAME_THRESHOLD = 11        # p > 11: every finite-order automorphism is tame
 WEAKLY_TAME_THRESHOLD = 23  # p >= 23: finite height implies weakly tame
 
 
-def euler_phi(n: int) -> int:
-    """Euler totient by trial-division factorization."""
-    n = int(n)
-    if n < 1:
-        raise InputError("euler_phi needs a positive integer")
-    out = 1
-    rest = n
-    d = 2
-    while d * d <= rest:
-        if rest % d == 0:
-            power = 1
-            while rest % d == 0:
-                rest //= d
-                power *= d
-            out *= power - power // d
+def prime_factors(n: int) -> list[int]:
+    """Distinct prime divisors of n >= 1, increasing, by trial division."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
         d += 1 if d == 2 else 2
-    if rest > 1:
-        out *= rest - 1
+    if n > 1:
+        out.append(n)
     return out
 
 
+def euler_phi(n: int) -> int:
+    """Euler totient, n times the product of (1 - 1/q) over primes q | n."""
+    n = int(n)
+    if n < 1:
+        raise InputError("euler_phi needs a positive integer")
+    out = n
+    for q in prime_factors(n):
+        out = out // q * (q - 1)
+    return out
+
+
+@lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
     n = int(n)
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n >= 2 and prime_factors(n) == [n]
+
+
+def multiplicative_order(a: int, modulus: int) -> int:
+    """Least t >= 1 with a^t = 1 mod modulus; requires gcd(a, modulus) = 1."""
+    if modulus < 1 or gcd(a, modulus) != 1:
+        raise InputError("multiplicative order needs gcd(a, modulus) = 1")
+    t, power, one = 1, a % modulus, 1 % modulus
+    while power != one:
+        power = power * a % modulus
+        t += 1
+    return t
 
 
 def primes_up_to(limit: int) -> list[int]:

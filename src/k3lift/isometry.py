@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .constraints import prime_factors
 from .errors import (
     ContextMismatch,
     DimensionMismatch,
@@ -33,8 +34,10 @@ DEFAULT_ORDER_BOUND = 256
 class Isometry:
     """A lattice automorphism preserving the pairing: A^T G A = G.
 
-    A declared order, when given, is validated as the exact multiplicative
-    order: A^N = 1 and A^(N/q) != 1 for every prime q | N.
+    The lattice lives over a ring context; an isometry of a Z-lattice enters
+    through from_integer.  A declared order, when given, is validated as the
+    exact multiplicative order: A^N = 1 and A^(N/q) != 1 for every prime
+    q | N.
     """
 
     __slots__ = ("lattice", "matrix", "declared_order")
@@ -42,24 +45,18 @@ class Isometry:
     def __init__(
         self, lattice: QuadLattice, matrix, check: bool = True, order: int | None = None
     ):
-        self.lattice = lattice
         if lattice.ring is None:
-            m = np.array(
-                [[int(x) for x in row] for row in matrix], dtype=object
-            )
-            if m.shape != (lattice.rank, lattice.rank):
-                raise DimensionMismatch("matrix shape must match lattice rank")
-            self.matrix = m
+            raise InputError("an Isometry needs a ring lattice; use Isometry.from_integer")
+        self.lattice = lattice
+        if isinstance(matrix, RingMat):
+            if matrix.ctx != lattice.ring:
+                raise ContextMismatch("matrix context differs from lattice")
+            m = matrix
         else:
-            if isinstance(matrix, RingMat):
-                if matrix.ctx != lattice.ring:
-                    raise ContextMismatch("matrix context differs from lattice")
-                m = matrix
-            else:
-                m = RingMat.from_rows(lattice.ring, matrix)
-            if m.rows != lattice.rank or m.cols != lattice.rank:
-                raise DimensionMismatch("matrix shape must match lattice rank")
-            self.matrix = m
+            m = RingMat.from_rows(lattice.ring, matrix)
+        if m.rows != lattice.rank or m.cols != lattice.rank:
+            raise DimensionMismatch("matrix shape must match lattice rank")
+        self.matrix = m
         if check and not self.verify():
             raise InputError("matrix does not preserve the pairing")
         self.declared_order = order
@@ -68,39 +65,37 @@ class Isometry:
                 raise OrderViolation("declared order must be positive")
             if not self._is_identity_power(order):
                 raise OrderViolation(f"matrix^{order} is not the identity")
-            q, rest = 2, order
-            while rest > 1:
-                if rest % q == 0:
-                    if self._is_identity_power(order // q):
-                        raise OrderViolation(
-                            f"declared order {order} is not exact: matrix^{order // q} = 1"
-                        )
-                    while rest % q == 0:
-                        rest //= q
-                q += 1
+            for q in prime_factors(order):
+                if self._is_identity_power(order // q):
+                    raise OrderViolation(
+                        f"declared order {order} is not exact: matrix^{order // q} = 1"
+                    )
+
+    @classmethod
+    def from_integer(cls, lattice: QuadLattice, rows, ctx: RingContext) -> "Isometry":
+        """Base change an isometry of a Z-lattice into a ring context.
+
+        A^T G A = G is checked over Z, so the image is an isometry in every
+        ring context.
+        """
+        if lattice.ring is not None:
+            raise InputError("from_integer starts from a Z-lattice")
+        a = np.array([[int(x) for x in row] for row in rows], dtype=object)
+        if a.shape != (lattice.rank, lattice.rank):
+            raise DimensionMismatch("matrix shape must match lattice rank")
+        if not (a.T @ lattice.gram @ a == lattice.gram).all():
+            raise InputError("matrix does not preserve the pairing over Z")
+        return cls(lattice.change_ring(ctx), a.tolist(), check=False)
 
     def _is_identity_power(self, k: int) -> bool:
-        power = self.power(k).matrix
-        if self.lattice.ring is None:
-            return bool((power == np.eye(self.lattice.rank, dtype=object)).all())
-        return power == RingMat.identity(self.lattice.ring, self.lattice.rank)
+        return self.power(k).matrix == RingMat.identity(self.lattice.ring, self.lattice.rank)
 
     def verify(self) -> bool:
         g, a = self.lattice.gram, self.matrix
-        if self.lattice.ring is None:
-            return bool((a.T @ g @ a == g).all())
         return (a.transpose() @ g @ a) == g
 
     def order(self, bound: int = DEFAULT_ORDER_BOUND) -> int:
         """Smallest N >= 1 with A^N = identity; OrderViolation past the bound."""
-        if self.lattice.ring is None:
-            ident = np.eye(self.lattice.rank, dtype=object)
-            power = self.matrix.copy()
-            for k in range(1, bound + 1):
-                if (power == ident).all():
-                    return k
-                power = power @ self.matrix
-            raise OrderViolation(f"order exceeds {bound}")
         ident = RingMat.identity(self.lattice.ring, self.lattice.rank)
         power = self.matrix
         for k in range(1, bound + 1):
@@ -110,40 +105,15 @@ class Isometry:
         raise OrderViolation(f"order exceeds {bound}")
 
     def power(self, k: int) -> "Isometry":
-        if self.lattice.ring is None:
-            if k < 0:
-                raise InputError("negative powers need a ring isometry")
-            out = np.eye(self.lattice.rank, dtype=object)
-            base = self.matrix
-            e = k
-            while e:
-                if e & 1:
-                    out = out @ base
-                base = base @ base
-                e >>= 1
-            return Isometry(self.lattice, out, check=False)
         return Isometry(self.lattice, self.matrix**k, check=False)
 
-    def change_ring(self, ctx: RingContext) -> "Isometry":
-        """Base change a Z-isometry into a ring context."""
-        if self.lattice.ring is not None:
-            raise InputError("change_ring starts from a Z-isometry")
-        lat = self.lattice.change_ring(ctx)
-        rows = [[int(x) % ctx.pn for x in row] for row in self.matrix]
-        return Isometry(lat, rows, check=False)
-
     def reduce_mod_p(self) -> "Isometry":
-        if self.lattice.ring is None:
-            raise InputError("reduce_mod_p needs a ring isometry")
         res = self.lattice.ring.residue_context()
         lat = QuadLattice(res, self.lattice.gram.reduce_mod_p())
         return Isometry(lat, self.matrix.reduce_mod_p(), check=False)
 
     def char_poly(self) -> list:
         """Characteristic polynomial coefficients, leading term first."""
-        if self.lattice.ring is None:
-            rows = [[int(x) for x in row] for row in self.matrix]
-            return char_poly_coeffs(rows, 0, 1)
         ctx = self.lattice.ring
         rows = [
             [self.matrix.entry(i, j) for j in range(self.lattice.rank)]
@@ -152,12 +122,7 @@ class Isometry:
         return char_poly_coeffs(rows, ctx.zero(), ctx.one())
 
     def to_json(self) -> dict:
-        mat = (
-            [[int(x) for x in row] for row in self.matrix]
-            if self.lattice.ring is None
-            else self.matrix.to_json()
-        )
-        out = {"lattice": self.lattice.to_json(), "matrix": mat}
+        out = {"lattice": self.lattice.to_json(), "matrix": self.matrix.to_json()}
         if self.declared_order is not None:
             out["order"] = self.declared_order
         return out
@@ -354,6 +319,14 @@ class EigenSplit:
         return f"EigenSplit(order={self.order}, ranks={self.ranks()})"
 
 
+def require_tame(ctx: RingContext, order: int, error=NotTame) -> None:
+    """The tame-order gate: order a positive integer not divisible by p."""
+    if order < 1:
+        raise InputError("order must be a positive integer")
+    if order % ctx.p == 0:
+        raise error(f"order {order} is divisible by p = {ctx.p}")
+
+
 def eigen_split(isometry: Isometry, order: int) -> EigenSplit:
     """Split a tame ring isometry into eigenspace summands.
 
@@ -363,12 +336,7 @@ def eigen_split(isometry: Isometry, order: int) -> EigenSplit:
     """
     lat = isometry.lattice
     ctx = lat.ring
-    if ctx is None:
-        raise InputError("eigenspace splitting needs a ring isometry")
-    if order < 1:
-        raise InputError("order must be a positive integer")
-    if order % ctx.p == 0:
-        raise NotTame(f"order {order} is divisible by p = {ctx.p}")
+    require_tame(ctx, order)
     a = isometry.matrix
     r = lat.rank
     powers = [RingMat.identity(ctx, r)]

@@ -19,7 +19,6 @@ from .errors import (
     HodgeLineNotEigen,
     IndependenceFailure,
     InputError,
-    NotTame,
     NotWeaklyTame,
     NoUnitPartner,
     OrderViolation,
@@ -29,7 +28,7 @@ from .errors import (
     NotSymplectic,
 )
 from .hensel import isotropic_combination, orthogonalize_with_coefficient
-from .isometry import Isometry, eigen_split, lift_eigenvector
+from .isometry import Isometry, eigen_split, lift_eigenvector, require_tame
 from .lattice import QuadLattice
 from .linalg import RingMat, RingVec, residue_rank, solve_in_span
 from .witt import PadicScalar, RingContext
@@ -403,6 +402,21 @@ def verify_certificate(cert: LiftingCertificate) -> VerificationReport:
 # branch builders
 
 
+def _isotropic_with_partner(
+    lattice: QuadLattice, u: RingVec, candidates, label: str, transcript: list, missing
+) -> RingVec:
+    """The isotropic generator u + p a v for the first candidate v with u . v
+    a unit, recording that pairing and a in the transcript; raises `missing`
+    when no candidate qualifies."""
+    partner = next((v for v in candidates if lattice.pairing(u, v).is_unit()), None)
+    if partner is None:
+        raise missing
+    a, m = isotropic_combination(lattice, u, partner)
+    transcript.append(_entry_pairing_unit(u, partner, lattice.pairing(u, partner), label))
+    transcript.append(_entry_valuation(a, 0, "isotropic correction scalar a"))
+    return m
+
+
 def lift_finite_height(
     sd: SlopeDecomposition, isometry, order: int, hodge_line: RingVec
 ) -> LiftingCertificate:
@@ -415,10 +429,7 @@ def lift_finite_height(
     orthogonal to the middle piece by the slope pairing.
     """
     ctx = sd.ctx
-    if order < 1:
-        raise InputError("order must be a positive integer")
-    if order % ctx.p == 0:
-        raise NotWeaklyTame(f"order {order} is divisible by p = {ctx.p}")
+    require_tame(ctx, order, NotWeaklyTame)
     a = isometry.matrix if isinstance(isometry, Isometry) else isometry
     if not isinstance(a, RingMat):
         a = RingMat.from_rows(ctx, a)
@@ -496,10 +507,7 @@ def lift_ss_nonsymplectic(inp: SupersingularInput, order: int) -> LiftingCertifi
     from the same eigenspace.
     """
     ctx = inp.ctx
-    if order < 1:
-        raise InputError("order must be a positive integer")
-    if order % ctx.p == 0:
-        raise NotTame(f"order {order} is divisible by p = {ctx.p}")
+    require_tame(ctx, order)
     lam_bar = inp.residue_eigenvalue()
     res = ctx.residue_context()
     if lam_bar == res.one():
@@ -513,30 +521,17 @@ def lift_ss_nonsymplectic(inp: SupersingularInput, order: int) -> LiftingCertifi
         raise HodgeLineNotEigen("hodge eigenvalue is not an N-th root of unity")
     zeta = split.roots[index]
     u = lift_eigenvector(split, index, inp.hodge_line)
-    minus_one = ctx.zero() - ctx.one()
+    comp = split.component(index)
     transcript = []
-    if zeta == minus_one:
-        comp = split.component(index)
-        partner = next(
-            (b for b in comp.basis if inp.lattice.pairing(u, b).is_unit()), None
+    if zeta == ctx.zero() - ctx.one():
+        m = _isotropic_with_partner(
+            inp.lattice, u, comp.basis, "partner pairing u . v", transcript,
+            NoUnitPartner("no unit pairing against the lifted Hodge vector in the -1 eigenspace"),
         )
-        if partner is None:
-            raise NoUnitPartner(
-                "no unit pairing against the lifted Hodge vector in the -1 eigenspace"
-            )
-        a, m = isotropic_combination(inp.lattice, u, partner)
-        transcript.append(
-            _entry_pairing_unit(
-                u, partner, inp.lattice.pairing(u, partner), "partner pairing u . v"
-            )
-        )
-        transcript.append(_entry_valuation(a, 0, "isotropic correction scalar a"))
-        transcript.append(_entry_membership(comp.basis, "generator lies in the -1 eigenspace"))
+        where = "-1"
     else:
-        m = u
-        transcript.append(
-            _entry_membership(split.component(index).basis, "generator lies in the zeta0 eigenspace")
-        )
+        m, where = u, "zeta0"
+    transcript.append(_entry_membership(comp.basis, f"generator lies in the {where} eigenspace"))
     if inp.ample is not None:
         transcript.append(
             _entry_orthogonality(inp.ample, "orthogonal to the fixed ample class")
@@ -564,10 +559,7 @@ def lift_ss_symplectic(inp: SupersingularInput, order: int) -> LiftingCertificat
     isotropic combination and a generator fixed by the isometry.
     """
     ctx = inp.ctx
-    if order < 1:
-        raise InputError("order must be a positive integer")
-    if order % ctx.p == 0:
-        raise NotTame(f"order {order} is divisible by p = {ctx.p}")
+    require_tame(ctx, order)
     if inp.ample is None:
         raise InputError("the symplectic branch needs an ample class")
     lam_bar = inp.residue_eigenvalue()
@@ -592,57 +584,30 @@ def lift_ss_symplectic(inp: SupersingularInput, order: int) -> LiftingCertificat
     split = eigen_split(iso, order)
     fixed = split.component(0)
     u0 = lift_eigenvector(split, 0, inp.hodge_line)
-    cc = inp.lattice.pairing(c, c)
-    transcript = []
+    lat = inp.lattice
+    cc = lat.pairing(c, c)
     if cc.is_unit():
-        coeff, u1 = orthogonalize_with_coefficient(inp.lattice, c, u0, c)
-        transcript.append(
-            _entry_valuation(coeff, 1, "correction along c keeps the reduction line")
-        )
+        coeff, u1 = orthogonalize_with_coefficient(lat, c, u0, c)
+        transcript = [_entry_valuation(coeff, 1, "correction along c keeps the reduction line")]
         cc_inv = cc.inverse()
-        candidates = []
-        for b in fixed.basis:
-            proj = b - c.scale(inp.lattice.pairing(b, c) * cc_inv)
-            candidates.append(proj)
-        partner = next(
-            (w for w in candidates if inp.lattice.pairing(u1, w).is_unit()), None
-        )
-        if partner is None:
-            raise RankTooSmall(
-                "the complement of c in the fixed eigenspace cannot host the configuration"
-            )
-        a, m = isotropic_combination(inp.lattice, u1, partner)
-        transcript.append(
-            _entry_pairing_unit(u1, partner, inp.lattice.pairing(u1, partner), "partner pairing")
-        )
-        transcript.append(_entry_valuation(a, 0, "isotropic correction scalar a"))
+        candidates = (b - c.scale(lat.pairing(b, c) * cc_inv) for b in fixed.basis)
     else:
-        helper = next(
-            (b for b in fixed.basis if inp.lattice.pairing(b, c).is_unit()), None
-        )
+        helper = next((b for b in fixed.basis if lat.pairing(b, c).is_unit()), None)
         if helper is None:
             raise RankTooSmall("no unit pairing against the ample class in the fixed eigenspace")
-        coeff, v1 = orthogonalize_with_coefficient(inp.lattice, c, u0, helper)
+        coeff, u1 = orthogonalize_with_coefficient(lat, c, u0, helper)
         if coeff.valuation() < 1:
             raise PreconditionError("orthogonalization coefficient left pW")
-        transcript.append(
+        transcript = [
             _entry_valuation(coeff, 1, "first orthogonalization coefficient lies in pW")
+        ]
+        candidates = (
+            orthogonalize_with_coefficient(lat, c, b, helper)[1] for b in fixed.basis
         )
-        partner = None
-        for b in fixed.basis:
-            _, w1 = orthogonalize_with_coefficient(inp.lattice, c, b, helper)
-            if inp.lattice.pairing(v1, w1).is_unit():
-                partner = w1
-                break
-        if partner is None:
-            raise RankTooSmall(
-                "the complement of c in the fixed eigenspace cannot host the configuration"
-            )
-        a, m = isotropic_combination(inp.lattice, v1, partner)
-        transcript.append(
-            _entry_pairing_unit(v1, partner, inp.lattice.pairing(v1, partner), "partner pairing")
-        )
-        transcript.append(_entry_valuation(a, 0, "isotropic correction scalar a"))
+    m = _isotropic_with_partner(
+        lat, u1, candidates, "partner pairing", transcript,
+        RankTooSmall("the complement of c in the fixed eigenspace cannot host the configuration"),
+    )
     transcript.append(_entry_orthogonality(c, "orthogonal to the ample class"))
     transcript.append(_entry_membership(fixed.basis, "generator lies in the fixed eigenspace"))
     return LiftingCertificate(

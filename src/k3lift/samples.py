@@ -12,26 +12,13 @@ from __future__ import annotations
 import math
 from random import Random
 
-from .errors import DimensionMismatch, NotTame
+from .errors import DimensionMismatch, InputError, NotTame
 from .witt import PadicScalar, RingContext
 from .linalg import RingMat, RingVec, inverse
 from .lattice import QuadLattice
 from .isometry import Isometry
 from .period import PeriodFrame
 from .torelli import ConnectionData, DeformationPoint, quadric_connection
-
-
-def multiplicative_order(a: int, modulus: int) -> int:
-    """Least t >= 1 with a^t = 1 mod modulus; requires gcd(a, modulus) = 1."""
-    if modulus < 1 or math.gcd(a, modulus) != 1:
-        raise ValueError("multiplicative order needs gcd(a, modulus) = 1")
-    if modulus == 1:
-        return 1
-    t, power = 1, a % modulus
-    while power != 1:
-        power = power * a % modulus
-        t += 1
-    return t
 
 
 def random_scalar(rng: Random, ctx: RingContext) -> PadicScalar:
@@ -120,7 +107,7 @@ def random_tame_isometry(
     otherwise) and gcd(order, p) = 1.
     """
     if order < 1:
-        raise ValueError("order must be positive")
+        raise InputError("order must be positive")
     if math.gcd(order, ctx.p) != 1:
         raise NotTame(f"order {order} shares a factor with p = {ctx.p}")
     roots = ctx.nth_roots_of_unity(order)

@@ -115,7 +115,7 @@ def isometry_from_json(data: dict, ctx: RingContext | None = None) -> Isometry:
     if order is not None and (isinstance(order, bool) or not isinstance(order, int)):
         raise InputError("field 'order' must be an integer")
     if lat.ring is None:
-        return Isometry(lat, data["matrix"], order=order)
+        raise InputError("an isometry payload needs a ring lattice")
     return Isometry(lat, matrix_from_json(lat.ring, data["matrix"], lat.rank), order=order)
 
 

@@ -121,13 +121,7 @@ class ConnectionData:
     def validate(self) -> None:
         ctx = self.ctx
         r = self.frame.rank
-        g = self.frame.lattice.gram
-        for i, di in enumerate(self.matrices):
-            for dj in self.matrices[i + 1 :]:
-                if (di @ dj) != (dj @ di):
-                    raise InputError("connection matrices must commute")
-            if not ((di.transpose() @ g) + (g @ di)).is_zero():
-                raise InputError("connection must be compatible with the pairing")
+        self._validate_compatible()
         e1 = RingVec.basis_vector(ctx, r, 0)
         for i, di in enumerate(self.matrices):
             if (di @ e1) != RingVec.basis_vector(ctx, r, i + 1):
@@ -135,6 +129,16 @@ class ConnectionData:
                     "connection is not adapted to the frame (D_i v1 != v_{i+1}); "
                     "use ConnectionData.adapt"
                 )
+
+    def _validate_compatible(self) -> None:
+        """Commutativity and pairing compatibility: validate() minus adaptation."""
+        g = self.frame.lattice.gram
+        for i, di in enumerate(self.matrices):
+            for dj in self.matrices[i + 1 :]:
+                if (di @ dj) != (dj @ di):
+                    raise InputError("connection matrices must commute")
+            if not ((di.transpose() @ g) + (g @ di)).is_zero():
+                raise InputError("connection must be compatible with the pairing")
 
     @classmethod
     def adapt(cls, frame: PeriodFrame, matrices) -> "ConnectionData":
@@ -148,15 +152,10 @@ class ConnectionData:
         frame.
         """
         raw = cls(frame, matrices, check=False)
+        raw._validate_compatible()
         ctx = frame.ctx
         r = frame.rank
         g = frame.lattice.gram
-        for i, di in enumerate(raw.matrices):
-            for dj in raw.matrices[i + 1 :]:
-                if (di @ dj) != (dj @ di):
-                    raise InputError("connection matrices must commute")
-            if not ((di.transpose() @ g) + (g @ di)).is_zero():
-                raise InputError("connection must be compatible with the pairing")
         e1 = RingVec.basis_vector(ctx, r, 0)
         cols = [e1]
         cols.extend(di @ e1 for di in raw.matrices)

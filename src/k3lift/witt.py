@@ -9,16 +9,16 @@ reduction mod p is just a change of context.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import gcd
 
+from .constraints import is_prime, multiplicative_order, prime_factors
 from .errors import (
     ContextMismatch,
     InputError,
     InsufficientResidueField,
     NonUnit,
     NotTame,
-    PreconditionError,
+    ValuationViolation,
 )
 
 # ---------------------------------------------------------------------------
@@ -90,26 +90,13 @@ def _is_irreducible_mod_p(f: list[int], p: int) -> bool:
     xq = _fp_polypowmod(x, p**m, f, p)
     if xq != _fp_polymod(list(x), f, p):
         return False
-    for ell in _prime_factors(m):
+    for ell in prime_factors(m):
         h = _fp_polypowmod(x, p ** (m // ell), f, p)
         diff = [(h[i] - (1 if i == 1 else 0)) % p for i in range(m)]
         g = _fp_polygcd(diff, f, p)
         if len(g) - 1 != 0:
             return False
     return True
-
-
-def _prime_factors(n: int) -> list[int]:
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def default_modulus(p: int, m: int) -> tuple[int, ...]:
@@ -134,11 +121,7 @@ def required_extension_degree(p: int, n_roots: int) -> int:
         raise InputError("root count must be positive")
     if gcd(p, n_roots) != 1:
         raise NotTame(f"p = {p} divides N = {n_roots}")
-    m, acc = 1, p % n_roots
-    while acc != 1:
-        acc = (acc * p) % n_roots
-        m += 1
-    return m
+    return multiplicative_order(p, n_roots)
 
 
 class RingContext:
@@ -147,7 +130,7 @@ class RingContext:
     Fields: odd prime p, precision n >= 1, residue degree m >= 1, and a monic
     modulus of degree m over Z/p^n whose reduction mod p is irreducible.
     Instances cache derived data (reduction tables, Frobenius action, roots
-    of unity) and are immutable.
+    of unity, the same extension at other precisions) and are immutable.
     """
 
     __slots__ = (
@@ -158,7 +141,7 @@ class RingContext:
         "pn",
         "q",
         "_xpow",
-        "_residue",
+        "_derived",
         "_frob_matrix",
         "_teich_unit_cache",
         "_root_cache",
@@ -167,7 +150,7 @@ class RingContext:
     )
 
     def __init__(self, p: int, n: int, m: int = 1, modulus=None):
-        if p < 3 or not _is_prime(p):
+        if p < 3 or not is_prime(p):
             raise InputError(f"p must be an odd prime, got {p}")
         if n < 1:
             raise InputError(f"precision n must be >= 1, got {n}")
@@ -185,7 +168,7 @@ class RingContext:
             raise InputError("modulus must be irreducible mod p")
         self.modulus = modulus
         self._xpow = self._reduction_table()
-        self._residue = None
+        self._derived = {}
         self._frob_matrix = None
         self._teich_unit_cache = {}
         self._root_cache = {}
@@ -261,19 +244,17 @@ class RingContext:
 
     def residue_context(self) -> "RingContext":
         """The same extension at precision 1, i.e. the residue field F_q."""
-        if self._residue is None:
-            if self.n == 1:
-                self._residue = self
-            else:
-                self._residue = RingContext(
-                    self.p, 1, self.m, tuple(c % self.p for c in self.modulus)
-                )
-        return self._residue
+        return self.with_precision(1)
 
     def with_precision(self, n: int) -> "RingContext":
+        """The same extension at precision n, built once per n."""
         if n == self.n:
             return self
-        return RingContext(self.p, n, self.m, tuple(c % self.p**n for c in self.modulus))
+        ctx = self._derived.get(n)
+        if ctx is None:
+            modulus = tuple(c % self.p**n for c in self.modulus)
+            ctx = self._derived[n] = RingContext(self.p, n, self.m, modulus)
+        return ctx
 
     def reduce(self, a: "PadicScalar") -> "PadicScalar":
         """Image in the residue field."""
@@ -393,7 +374,7 @@ class RingContext:
             return self._generator
         res = self.residue_context()
         order = self.q - 1
-        factors = _prime_factors(order) if order > 1 else []
+        factors = prime_factors(order)
         idx = 1
         while True:
             idx += 1
@@ -608,7 +589,7 @@ class PadicScalar:
             return self
         pk = self.ctx.p**k
         if any(c % pk for c in self.coeffs):
-            raise ValueError(f"element has valuation < {k}")
+            raise ValuationViolation(f"element has valuation < {k}")
         return PadicScalar(self.ctx, tuple(c // pk for c in self.coeffs))
 
     def frobenius(self) -> "PadicScalar":
@@ -627,15 +608,3 @@ class PadicScalar:
 
     def to_json(self) -> list[int]:
         return list(self.coeffs)
-
-
-@lru_cache(maxsize=None)
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True

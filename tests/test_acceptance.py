@@ -7,9 +7,11 @@ Criteria:
   4. local Torelli map and its Newton inverse
   5. liftability certificates for all branches, plus perturbation rejection
   6. arithmetic constraint gates (< 5 s)
-  7. CLI determinism: byte-identical output across repeated runs
+  7. CLI determinism: byte-identical output across repeated runs, matching
+     pinned sha256 digests
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -431,9 +433,23 @@ def _cli_invocations():
     ]
 
 
+# sha256 of each invocation's stdout, in _cli_invocations order.  Pinned so
+# that a refactor changing any output byte fails here, not only in review.
+_CLI_STDOUT_SHA256 = (
+    "c3dfba855da716c90df6b7a28113c01adf7dc37526659bd0d8515d73182b702f",
+    "b86f55a3d0e740252fe158927f825f28e7d9b61074f86804a923c75e814f1a31",
+    "d34a66ec457c54bcd9da0fc7a18cc81cf92a556da9b92f528e1eee67152aab65",
+    "b841a0c3b4c74f47cb76abfa409f3d7f6cfd2cbbcf5faed4f7dc322a37412771",
+    "87698d2efbba5ce9997820ea841aed26f3ea71999e548d235eb22710ede42b12",
+    "ffc22dab470bef1cf19ce3b7da26c14d7ff3230f46ae8c15acb8bf61cf6f0b99",
+    "5560a0d0b224983ef2eabb9646247d44bc1158022b863cadb0864f28bf995bce",
+    "601c02f792131a294a5282fa80a48fc58f575d9f9b90a2b4737c51df6be623f6",
+)
+
+
 def test_criterion_7_cli_determinism():
     names = []
-    for args, payload in _cli_invocations():
+    for (args, payload), digest in zip(_cli_invocations(), _CLI_STDOUT_SHA256, strict=True):
         data = (canonical_dumps(payload) if payload is not None else "").encode()
         runs = [
             subprocess.run(
@@ -447,7 +463,8 @@ def test_criterion_7_cli_determinism():
         assert runs[0].returncode == runs[1].returncode
         assert runs[0].stdout == runs[1].stdout
         assert runs[0].stdout.endswith(b"\n")
+        assert hashlib.sha256(runs[0].stdout).hexdigest() == digest, args
         json.loads(runs[0].stdout.decode())
         names.append(args[0])
     assert len(set(names)) == 8
-    verdict(7, "8 subcommands byte-identical across repeated runs")
+    verdict(7, "8 subcommands byte-identical across repeated runs and pinned digests")

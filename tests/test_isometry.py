@@ -224,9 +224,16 @@ def test_power_and_order_bound():
 
 def test_integer_lattice_isometry():
     u = standard_lattice("U")
-    swap = Isometry(u, [[0, 1], [1, 0]])
+    swap = Isometry.from_integer(u, [[0, 1], [1, 0]], C52)
+    assert swap.lattice.ring == C52
     assert swap.verify()
     assert swap.order() == 2
+    with pytest.raises(InputError):
+        Isometry(u, [[0, 1], [1, 0]])
+    for rows in ([[2, 0], [0, 1]], [[26, 0], [0, 1]]):
+        # the second preserves the pairing mod 5^2 but not over Z
+        with pytest.raises(InputError):
+            Isometry.from_integer(u, rows, C52)
 
 
 def test_json_round_trip():

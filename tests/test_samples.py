@@ -6,12 +6,14 @@ import pytest
 
 from k3lift import (
     DimensionMismatch,
+    InputError,
     InsufficientResidueField,
     NotTame,
     RingContext,
     eigen_split,
     is_unimodular,
     multiplicative_order,
+    required_extension_degree,
     phi_invert,
     phi_map,
     random_connection,
@@ -32,6 +34,12 @@ def test_multiplicative_order():
     assert multiplicative_order(2, 7) == 3
     assert multiplicative_order(3, 7) == 6
     assert multiplicative_order(18, 49) == 3
+    assert multiplicative_order(5, 1) == 1
+    assert required_extension_degree(5, 1) == 1
+    assert required_extension_degree(7, 12) == 2
+    for a, modulus in [(2, 4), (3, 0), (3, -7)]:
+        with pytest.raises(InputError):
+            multiplicative_order(a, modulus)
 
 
 def test_random_unimodular():
@@ -65,6 +73,8 @@ def test_random_tame_isometry_rejects_wild():
     rng = Random(3)
     with pytest.raises(NotTame):
         random_tame_isometry(rng, C72, 4, 14)
+    with pytest.raises(InputError):
+        random_tame_isometry(rng, C72, 4, 0)
 
 
 def test_random_tame_isometry_rank_bound():

@@ -11,6 +11,7 @@ from k3lift import (
     NotTame,
     PadicScalar,
     RingContext,
+    ValuationViolation,
 )
 
 C531 = RingContext(5, 3, 1)
@@ -193,3 +194,7 @@ def test_exact_div_p():
     a = C531.scalar(50)
     assert a.exact_div_p(1) == C531.scalar(10)
     assert a.exact_div_p(2) == C531.scalar(2)
+    with pytest.raises(ValuationViolation):
+        a.exact_div_p(3)
+    with pytest.raises(ValuationViolation):
+        C531.scalar(7).exact_div_p(1)
