@@ -20,7 +20,7 @@ import argparse
 import sys
 from random import Random
 
-from .errors import InputError, K3LiftError, PreconditionError
+from .errors import InputError, K3LiftError, PreconditionError, field, int_field
 from .witt import RingContext
 from . import constraints as gates
 from .hensel import isotropic_combination
@@ -80,19 +80,6 @@ def _parse_ctx(text: str) -> RingContext:
     return RingContext(p, n, m, modulus)
 
 
-def _field(data: dict, key: str):
-    if not isinstance(data, dict) or key not in data:
-        raise InputError(f"payload is missing required field '{key}'")
-    return data[key]
-
-
-def _int_field(data: dict, key: str) -> int:
-    value = _field(data, key)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InputError(f"field '{key}' must be an integer")
-    return value
-
-
 def _require_ctx(ctx: RingContext | None, why: str) -> RingContext:
     if ctx is None:
         raise InputError(f"--ctx is required {why}")
@@ -120,12 +107,12 @@ def _cmd_eig_split(args, ctx):
         ctx = _require_ctx(ctx, "to generate a sample instance")
         rng = Random(args.seed)
         iso = random_tame_isometry(
-            rng, ctx, _int_field(sample, "rank"), _int_field(sample, "order")
+            rng, ctx, int_field(sample, "rank"), int_field(sample, "order")
         )
-        order = _int_field(sample, "order")
+        order = int_field(sample, "order")
     else:
         iso = isometry_from_json(data, ctx)
-        order = _int_field(data, "order")
+        order = int_field(data, "order")
     split = eigen_split(iso, order)
     out = split.to_json()
     out["isometry"] = iso.to_json()
@@ -140,17 +127,17 @@ def _cmd_isotropic_lift(args, ctx):
     if sample is not None:
         ctx = _require_ctx(ctx, "to generate a sample instance")
         lat, u, v = random_isotropic_instance(
-            Random(args.seed), ctx, _int_field(sample, "rank")
+            Random(args.seed), ctx, int_field(sample, "rank")
         )
     else:
         if "lattice" in data:
-            lat = lattice_from_json(_field(data, "lattice"), ctx)
+            lat = lattice_from_json(field(data, "lattice"), ctx)
         else:
-            lat = lattice_from_json({"ring": data.get("ring"), "gram": _field(data, "gram")}, ctx)
+            lat = lattice_from_json({"gram": field(data, "gram"), "ring": data.get("ring")}, ctx)
         if lat.ring is None:
             raise InputError("isotropic-lift needs a lattice over a ring context")
-        u = vector_from_json(lat.ring, _field(data, "u"))
-        v = vector_from_json(lat.ring, _field(data, "v"))
+        u = vector_from_json(lat.ring, field(data, "u"))
+        v = vector_from_json(lat.ring, field(data, "v"))
     a, w = isotropic_combination(lat, u, v)
     out = {
         "lattice": lat.to_json(),
@@ -169,11 +156,11 @@ def _cmd_period_complete(args, ctx):
     if sample is not None:
         ctx = _require_ctx(ctx, "to generate a sample instance")
         rng = Random(args.seed)
-        frame = random_period_frame(rng, ctx, _int_field(sample, "rank"))
+        frame = random_period_frame(rng, ctx, int_field(sample, "rank"))
         coords = random_period_coordinates(rng, frame)
     else:
-        frame = frame_from_json(_field(data, "frame"), ctx)
-        coords = [scalar_from_json(frame.ctx, c) for c in _field(data, "coordinates")]
+        frame = frame_from_json(field(data, "frame"), ctx)
+        coords = [scalar_from_json(frame.ctx, c) for c in field(data, "coordinates")]
     line = complete_period_line(frame, coords)
     out = line.to_json()
     out["conditions"] = check_conditions(line)
@@ -186,11 +173,11 @@ def _cmd_phi_map(args, ctx):
     if sample is not None:
         ctx = _require_ctx(ctx, "to generate a sample instance")
         rng = Random(args.seed)
-        conn = random_connection(rng, ctx, _int_field(sample, "dimension"))
+        conn = random_connection(rng, ctx, int_field(sample, "dimension"))
         point = random_deformation_point(rng, conn)
     else:
-        conn = connection_from_json(_field(data, "connection"), ctx)
-        point = point_from_json(conn.ctx, _field(data, "point"))
+        conn = connection_from_json(field(data, "connection"), ctx)
+        point = point_from_json(conn.ctx, field(data, "point"))
     coords = phi_map(conn, point)
     line = phi_line(conn, point)
     out = {
@@ -204,10 +191,10 @@ def _cmd_phi_map(args, ctx):
 
 def _cmd_phi_invert(args, ctx):
     data = _read_payload(args)
-    conn = connection_from_json(_field(data, "connection"), ctx)
-    target = _field(data, "target")
+    conn = connection_from_json(field(data, "connection"), ctx)
+    target = field(data, "target")
     if isinstance(target, dict):
-        target = _field(target, "coordinates")
+        target = field(target, "coordinates")
     if not isinstance(target, list):
         raise InputError("field 'target' must be a coordinate list")
     goal = [scalar_from_json(conn.ctx, c) for c in target]
@@ -222,11 +209,11 @@ def _cmd_phi_invert(args, ctx):
 
 def _cmd_lift_search(args, ctx):
     data = _read_payload(args)
-    order = _int_field(data, "order")
+    order = int_field(data, "order")
     if args.mode == "finite-height":
-        sd = SlopeDecomposition.from_json(_field(data, "decomposition"), ctx)
-        matrix = matrix_from_json(sd.ctx, _field(data, "matrix"), sd.lattice.rank)
-        hodge = vector_from_json(sd.ctx.residue_context(), _field(data, "hodge_line"))
+        sd = SlopeDecomposition.from_json(field(data, "decomposition"), ctx)
+        matrix = matrix_from_json(sd.ctx, field(data, "matrix"), sd.lattice.rank)
+        hodge = vector_from_json(sd.ctx.residue_context(), field(data, "hodge_line"))
         others = data.get("others")
         if others is not None:
             mats = [matrix_from_json(sd.ctx, mj, sd.lattice.rank) for mj in others]

@@ -4,7 +4,8 @@ Two families matter to callers.  ``InputError`` means the data itself is
 malformed (bad shapes, mismatched rings, unparseable payloads) and maps to
 CLI exit code 1.  ``PreconditionError`` means the data is well formed but a
 mathematical precondition fails (wild order, non-unit pivot, no convergence)
-and maps to CLI exit code 2.
+and maps to CLI exit code 2.  ``field`` and ``int_field`` read required
+payload fields, so every loader reports a missing key as ``InputError``.
 """
 
 from __future__ import annotations
@@ -117,3 +118,18 @@ class NoConvergence(PreconditionError):
 
 class OrderViolation(InputError):
     """A declared order is not the exact multiplicative order of the matrix."""
+
+
+def field(data, key: str):
+    """data[key]; InputError when data is not a dict or lacks the key."""
+    if not isinstance(data, dict) or key not in data:
+        raise InputError(f"payload is missing required field '{key}'")
+    return data[key]
+
+
+def int_field(data, key: str) -> int:
+    """field(data, key), which must be an integer (not a boolean)."""
+    value = field(data, key)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputError(f"field '{key}' must be an integer")
+    return value

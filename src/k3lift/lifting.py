@@ -26,6 +26,8 @@ from .errors import (
     RankTooSmall,
     SymplecticInput,
     NotSymplectic,
+    field,
+    int_field,
 )
 from .hensel import isotropic_combination, orthogonalize_with_coefficient
 from .isometry import Isometry, eigen_split, lift_eigenvector, require_tame
@@ -119,8 +121,8 @@ class SlopeDecomposition:
     @classmethod
     def from_json(cls, data: dict, ctx: RingContext | None = None) -> "SlopeDecomposition":
         if ctx is None:
-            ctx = RingContext.from_json(data["ring"])
-        lat = QuadLattice(ctx, data["gram"])
+            ctx = RingContext.from_json(field(data, "ring"))
+        lat = QuadLattice(ctx, field(data, "gram"))
         return cls(
             lat,
             data.get("low", []),
@@ -199,12 +201,12 @@ class SupersingularInput:
     @classmethod
     def from_json(cls, data: dict, ctx: RingContext | None = None) -> "SupersingularInput":
         if ctx is None:
-            ctx = RingContext.from_json(data["ring"])
-        lat = QuadLattice(ctx, data["gram"])
+            ctx = RingContext.from_json(field(data, "ring"))
+        lat = QuadLattice(ctx, field(data, "gram"))
         return cls(
             lat,
-            data["matrix"],
-            data["hodge_line"],
+            field(data, "matrix"),
+            field(data, "hodge_line"),
             data.get("ample"),
             data.get("artin_invariant"),
         )
@@ -272,17 +274,17 @@ class LiftingCertificate:
     @classmethod
     def from_json(cls, data: dict, ctx: RingContext | None = None) -> "LiftingCertificate":
         if ctx is None:
-            ctx = RingContext.from_json(data["ring"])
+            ctx = RingContext.from_json(field(data, "ring"))
         res = ctx.residue_context()
         return cls(
             ctx,
-            str(data["branch"]),
-            int(data["order"]),
-            RingMat.from_rows(ctx, data["gram"]),
-            RingMat.from_rows(ctx, data["matrix"]),
-            RingVec.from_entries(ctx, data["generator"]),
-            ctx.scalar(data["eigenvalue"]),
-            RingVec.from_entries(res, data["hodge_line"]),
+            str(field(data, "branch")),
+            int_field(data, "order"),
+            RingMat.from_rows(ctx, field(data, "gram")),
+            RingMat.from_rows(ctx, field(data, "matrix")),
+            RingVec.from_entries(ctx, field(data, "generator")),
+            ctx.scalar(field(data, "eigenvalue")),
+            RingVec.from_entries(res, field(data, "hodge_line")),
             data.get("transcript", []),
         )
 

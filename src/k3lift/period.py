@@ -21,6 +21,7 @@ from .errors import (
     InputError,
     ProjectionCollapse,
     ValuationViolation,
+    field,
 )
 from .hensel import hensel_root
 from .lattice import QuadLattice
@@ -81,8 +82,8 @@ class PeriodFrame:
     @classmethod
     def from_json(cls, data: dict, ctx: RingContext | None = None) -> "PeriodFrame":
         if ctx is None:
-            ctx = RingContext.from_json(data["ring"])
-        return cls(QuadLattice(ctx, data["gram"]))
+            ctx = RingContext.from_json(field(data, "ring"))
+        return cls(QuadLattice(ctx, field(data, "gram")))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PeriodFrame) and other.lattice == self.lattice

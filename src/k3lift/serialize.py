@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from typing import Any, IO
 
-from .errors import InputError
+from .errors import InputError, field
 from .witt import PadicScalar, RingContext
 from .linalg import RingMat, RingVec
 from .lattice import QuadLattice
@@ -87,12 +87,12 @@ def lattice_from_json(data, ctx: RingContext | None = None) -> QuadLattice:
     if isinstance(data, dict):
         ring = data.get("ring")
         if ring == "Z":
-            return QuadLattice(None, data["gram"])
+            return QuadLattice(None, field(data, "gram"))
         if ctx is None:
             if not isinstance(ring, dict):
                 raise InputError("lattice payload carries no ring and no context was given")
             ctx = RingContext.from_json(ring)
-        gram = data["gram"]
+        gram = field(data, "gram")
     else:
         if ctx is None:
             raise InputError("a bare Gram matrix needs an explicit ring context")
@@ -106,9 +106,9 @@ def isometry_from_json(data: dict, ctx: RingContext | None = None) -> Isometry:
     if not isinstance(data, dict) or "matrix" not in data:
         raise InputError("an isometry payload needs 'matrix' and a lattice")
     if "lattice" in data:
-        lat = lattice_from_json(data["lattice"], ctx)
+        lat = lattice_from_json(field(data, "lattice"), ctx)
     elif "gram" in data:
-        lat = lattice_from_json({"ring": data.get("ring"), "gram": data["gram"]}, ctx)
+        lat = lattice_from_json({"ring": data.get("ring"), "gram": field(data, "gram")}, ctx)
     else:
         raise InputError("an isometry payload needs 'lattice' or 'gram'")
     order = data.get("order")
@@ -116,7 +116,7 @@ def isometry_from_json(data: dict, ctx: RingContext | None = None) -> Isometry:
         raise InputError("field 'order' must be an integer")
     if lat.ring is None:
         raise InputError("an isometry payload needs a ring lattice")
-    return Isometry(lat, matrix_from_json(lat.ring, data["matrix"], lat.rank), order=order)
+    return Isometry(lat, matrix_from_json(lat.ring, field(data, "matrix"), lat.rank), order=order)
 
 
 def frame_from_json(data, ctx: RingContext | None = None) -> PeriodFrame:
@@ -130,10 +130,8 @@ def frame_from_json(data, ctx: RingContext | None = None) -> PeriodFrame:
 
 def line_from_json(data: dict, ctx: RingContext | None = None) -> PeriodLine:
     """Rebuild a line from its generator, re-deriving and re-validating."""
-    if not isinstance(data, dict) or "frame" not in data or "generator" not in data:
-        raise InputError("a line payload needs 'frame' and 'generator'")
-    frame = frame_from_json(data["frame"], ctx)
-    return from_generator(frame, vector_from_json(frame.ctx, data["generator"]))
+    frame = frame_from_json(field(data, "frame"), ctx)
+    return from_generator(frame, vector_from_json(frame.ctx, field(data, "generator")))
 
 
 def point_from_json(ctx: RingContext, data) -> DeformationPoint:
@@ -145,8 +143,6 @@ def point_from_json(ctx: RingContext, data) -> DeformationPoint:
 
 
 def connection_from_json(data: dict, ctx: RingContext | None = None) -> ConnectionData:
-    if not isinstance(data, dict) or "frame" not in data or "matrices" not in data:
-        raise InputError("connection data needs 'frame' and 'matrices'")
-    frame = frame_from_json(data["frame"], ctx)
-    mats = [matrix_from_json(frame.ctx, mj, frame.rank) for mj in data["matrices"]]
+    frame = frame_from_json(field(data, "frame"), ctx)
+    mats = [matrix_from_json(frame.ctx, mj, frame.rank) for mj in field(data, "matrices")]
     return ConnectionData(frame, mats)

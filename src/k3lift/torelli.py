@@ -5,13 +5,16 @@ matrices D_i, compatible with the pairing (D_i^T G + G D_i = 0) and adapted
 to the frame (D_i v1 = v_{i+1}).  Parallel transport to the point
 (pa_1, ..., pa_d) is the divided-power series
 
-    transport(g, y) = sum over multi-indices m of
-                      gamma_{m_1}(pa_1) ... gamma_{m_d}(pa_d) D^m y
+    sum over multi-indices m of gamma_{m_1}(pa_1) ... gamma_{m_d}(pa_d) D^m y
 
 truncated at total degree M(n, p), beyond which every term has valuation
-at least n.  Reading frame coordinates off the transported Hodge generator
-gives the period map; its inverse is a fixed-point iteration contracting by
-a factor of p per step.
+at least n.  It is summed as the product T_d ... T_1 y of one-variable
+series T_i = sum_{k<M} gamma_k(pa_i) D_i^k, which costs d (M - 1)
+matrix-vector products.  The product adds only cross terms of total degree
+K >= M, and their coefficients vanish at precision n (see transport).
+Reading frame coordinates off the transported Hodge generator gives the
+period map; its inverse is a fixed-point iteration contracting by a factor
+of p per step.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .errors import (
 from .lattice import QuadLattice
 from .linalg import RingMat, RingVec, inverse, is_unimodular
 from .period import PeriodFrame, PeriodLine, from_generator
-from .witt import PadicScalar, RingContext
+from .witt import RingContext
 
 
 def truncation_degree(n: int, p: int) -> int:
@@ -212,9 +215,14 @@ def quadric_connection(frame: PeriodFrame) -> ConnectionData:
 def transport(conn: ConnectionData, point: DeformationPoint, y: RingVec) -> RingVec:
     """Divided-power parallel transport of y to the deformation point.
 
-    Exact at precision n: gamma_k(pa) = p^(k - e) a^k / (k! / p^e) with
-    e = v_p(k!) is computed by unit division, and the series is truncated
-    at total degree M(n, p) where all further terms vanish.
+    Returns T_d ... T_1 y with T_i = sum_{k<M} gamma_k(pa_i) D_i^k, so D_1
+    acts first; the order matters only for connections that do not commute.
+    gamma_k(pa) = p^(k - e) a^k / (k! / p^e) with e = v_p(k!) is computed
+    by unit division.  The product equals the multi-index series truncated
+    at total degree M = M(n, p) exactly at precision n: each extra cross
+    term has total degree K >= M and a coefficient of valuation at least
+    sum_i (m_i - v_p(m_i!)) >= K - v_p(K!) >= n, since v_p(K!) bounds
+    sum_i v_p(m_i!) (multinomial coefficients are integers).
     """
     ctx = conn.ctx
     if point.ctx != ctx or y.ctx != ctx:
@@ -222,34 +230,16 @@ def transport(conn: ConnectionData, point: DeformationPoint, y: RingVec) -> Ring
     if len(point) != conn.dimension:
         raise DimensionMismatch("deformation point dimension differs from connection")
     bound = truncation_degree(ctx.n, ctx.p)
-    d = conn.dimension
-    gammas = []
-    for pa in point.entries:
+    out = y
+    for pa, di in zip(point.entries, conn.matrices):
         a = pa.exact_div_p(1)
-        row = [ctx.one()]
         apow = ctx.one()
+        cur = out
         for k in range(1, bound):
             apow = apow * a
-            row.append(ctx.divided_power_factor(k) * apow)
-        gammas.append(row)
-    total = RingVec.zeros(ctx, y.rank)
-
-    def accumulate(i: int, vec: RingVec, budget: int, coeff: PadicScalar) -> None:
-        nonlocal total
-        if i == d:
-            total = total + vec.scale(coeff)
-            return
-        cur = vec
-        for k in range(budget + 1):
-            if k:
-                cur = conn.matrices[i] @ cur
-            c = coeff * gammas[i][k]
-            if c.is_zero():
-                continue
-            accumulate(i + 1, cur, budget - k, c)
-
-    accumulate(0, y, bound - 1, ctx.one())
-    return total
+            cur = di @ cur
+            out = out + cur.scale(ctx.divided_power_factor(k) * apow)
+    return out
 
 
 def phi_map(conn: ConnectionData, point: DeformationPoint) -> tuple:
@@ -262,9 +252,7 @@ def phi_map(conn: ConnectionData, point: DeformationPoint) -> tuple:
     ctx = conn.ctx
     r = conn.frame.rank
     h = transport(conn, point, RingVec.basis_vector(ctx, r, 0))
-    h1 = h.entry(0)
-    assert h1.is_unit(), "transported generator lost its Hodge component"
-    inv_h1 = h1.inverse()
+    inv_h1 = h.entry(0).inverse()
     return tuple(h.entry(i) * inv_h1 for i in range(1, r - 1))
 
 
@@ -282,7 +270,8 @@ def phi_invert(conn: ConnectionData, target, max_iterations: int | None = None) 
     Fixed-point iteration u <- u + (target - phi(u)): the correction map
     contracts by a factor of p, so the error valuation climbs by one per
     step and at most n iterations are needed.  NoConvergence signals
-    connection data violating the adapted invariants.
+    connection data violating the adapted invariants; its message names the
+    iteration limit and the error valuation at the last iterate u.
     """
     ctx = conn.ctx
     goal = tuple(ctx.scalar(t) for t in target)
@@ -298,4 +287,9 @@ def phi_invert(conn: ConnectionData, target, max_iterations: int | None = None) 
         if all(c == t for c, t in zip(image, goal)):
             return DeformationPoint(ctx, current)
         current = [u + (t - c) for u, c, t in zip(current, image, goal)]
-    raise NoConvergence(f"no fixed point within {limit} iterations")
+    image = phi_map(conn, DeformationPoint(ctx, current))
+    error = min(((t - c).valuation() for c, t in zip(image, goal)), default=ctx.n)
+    raise NoConvergence(
+        f"no fixed point within {limit} iterations; final error valuation "
+        f"min_i v(t_i - phi(u)_i) = {error}"
+    )

@@ -360,6 +360,21 @@ def test_verify_corrupted_certificate_exit_2():
     assert out["valid"] is False
 
 
+@pytest.mark.parametrize(
+    "payload, missing",
+    [({"ring": {"p": 5, "n": 3, "m": 1}}, "branch"), ([1, 2], "ring")],
+)
+def test_verify_malformed_payload_exit_1(payload, missing):
+    proc = run_cli(["verify"], payload)
+    assert proc.returncode == 1
+    stderr = proc.stderr.decode()
+    assert "Traceback" not in stderr
+    assert stderr.count("\n") == 1
+    err = json.loads(stderr)
+    assert err == {"code": "InputError", "message": f"payload is missing required field '{missing}'"}
+    assert proc.stdout == b""
+
+
 # -- transport-level behaviors ------------------------------------------------------
 
 

@@ -1,5 +1,7 @@
 """Local Torelli map: transport series, forward map, Newton inversion."""
 
+from random import Random
+
 import pytest
 
 from k3lift import (
@@ -19,6 +21,9 @@ from k3lift import (
     phi_line,
     phi_map,
     quadric_connection,
+    random_connection,
+    random_deformation_point,
+    random_scalar,
     transport,
     truncation_degree,
 )
@@ -34,6 +39,108 @@ def _split_frame(ctx, middle):
     for i, q in enumerate(middle):
         gram[i + 1][i + 1] = q
     return PeriodFrame(QuadLattice(ctx, gram))
+
+
+def _multi_index_transport(conn, point, y):
+    """Reference sum over every multi-index m of total degree < M(n, p) of
+    gamma_{m_1}(pa_1) ... gamma_{m_d}(pa_d) D_d^{m_d} ... D_1^{m_1} y."""
+    ctx = conn.ctx
+    bound = truncation_degree(ctx.n, ctx.p)
+    gammas = []
+    for pa in point.entries:
+        a = pa.exact_div_p(1)
+        gammas.append([ctx.divided_power_factor(k) * a**k for k in range(bound)])
+    d = conn.dimension
+
+    def terms(i, vec, budget, coeff):
+        if i == d:
+            yield vec.scale(coeff)
+            return
+        for k in range(budget + 1):
+            if k:
+                vec = conn.matrices[i] @ vec
+            yield from terms(i + 1, vec, budget - k, coeff * gammas[i][k])
+
+    total = RingVec.zeros(ctx, y.rank)
+    for term in terms(0, y, bound - 1, ctx.one()):
+        total = total + term
+    return total
+
+
+# (p, n, m, d): both residue degrees, n up to 8, d up to 8
+ORACLE_CASES = [
+    (3, 6, 1, 3),
+    (3, 8, 2, 2),
+    (5, 8, 1, 3),
+    (7, 7, 2, 3),
+    (5, 5, 2, 4),
+    (3, 4, 1, 6),
+    (7, 3, 1, 8),
+]
+
+
+@pytest.mark.parametrize("p,n,m,d", ORACLE_CASES)
+def test_transport_matches_multi_index_sum(p, n, m, d):
+    # random_connection conjugates a quadric connection, so every product of
+    # three D_i vanishes; the random matrices below reach the higher degrees
+    ctx = RingContext(p, n, m)
+    rng = Random(1000 * p + 10 * n + m)
+    conn = random_connection(rng, ctx, d)
+    point = random_deformation_point(rng, conn)
+    y = RingVec.from_entries(ctx, [random_scalar(rng, ctx) for _ in range(d + 2)])
+    assert transport(conn, point, y) == _multi_index_transport(conn, point, y)
+
+
+@pytest.mark.parametrize("p,n,m,d", ORACLE_CASES)
+def test_transport_applies_first_matrix_first(p, n, m, d):
+    # random matrices do not commute, so only the D_1-first order matches
+    ctx = RingContext(p, n, m)
+    rng = Random(7 + 1000 * p + 10 * n + m)
+    r = d + 2
+    frame = _split_frame(ctx, [1] * d)
+
+    def rand_mat():
+        return RingMat.from_rows(ctx, [[random_scalar(rng, ctx) for _ in range(r)] for _ in range(r)])
+
+    mats = [rand_mat() for _ in range(d)]
+    assert (mats[0] @ mats[1]) != (mats[1] @ mats[0])
+    conn = ConnectionData(frame, mats, check=False)
+    point = DeformationPoint(ctx, [p * random_scalar(rng, ctx) for _ in range(d)])
+    y = RingVec.from_entries(ctx, [random_scalar(rng, ctx) for _ in range(r)])
+    out = transport(conn, point, y)
+    assert out == _multi_index_transport(conn, point, y)
+    flipped = ConnectionData(frame, mats[::-1], check=False)
+    back = DeformationPoint(ctx, point.entries[::-1])
+    assert out != _multi_index_transport(flipped, back, y)
+
+
+def test_transport_matvec_count_at_rank_22(monkeypatch):
+    # d (M - 1) products, one per (matrix, degree) pair: no multi-index blow-up
+    ctx = RingContext(5, 8, 1)
+    rng = Random(22)
+    conn = random_connection(rng, ctx, 20)
+    point = random_deformation_point(rng, conn)
+    calls = []
+    matmul = RingMat.__matmul__
+
+    def counting(self, other):
+        calls.append(other)
+        return matmul(self, other)
+
+    monkeypatch.setattr(RingMat, "__matmul__", counting)
+    transport(conn, point, RingVec.basis_vector(ctx, 22, 0))
+    assert len(calls) == 20 * (truncation_degree(8, 5) - 1)
+
+
+def test_phi_round_trip_at_rank_22():
+    ctx = RingContext(5, 8, 1)
+    rng = Random(2208)
+    conn = random_connection(rng, ctx, 20)
+    point = random_deformation_point(rng, conn)
+    image = phi_map(conn, point)
+    for h, a in zip(image, point.entries):
+        assert (h - a).valuation() >= 2
+    assert phi_invert(conn, image) == point
 
 
 def test_truncation_degree_values():
@@ -153,8 +260,20 @@ def test_phi_invert_rejects_unit_target():
 def test_no_convergence_reported():
     frame = _split_frame(C53, [2])
     conn = quadric_connection(frame)
-    with pytest.raises(NoConvergence):
+    with pytest.raises(NoConvergence, match=r"within 0 iterations.* = 3$"):
         phi_invert(conn, [5], max_iterations=0)
+    # one correction step on a map that is not the identity leaves an error
+    # whose valuation the message reports
+    ctx = RingContext(5, 6, 1)
+    rng = Random(5)
+    conn = random_connection(rng, ctx, 3)
+    goal = phi_map(conn, random_deformation_point(rng, conn))
+    first = phi_map(conn, DeformationPoint(ctx, goal))
+    step = DeformationPoint(ctx, [2 * t - c for t, c in zip(goal, first)])
+    error = min((t - c).valuation() for t, c in zip(goal, phi_map(conn, step)))
+    assert 2 <= error < ctx.n
+    with pytest.raises(NoConvergence, match=rf"within 1 iterations; .* = {error}$"):
+        phi_invert(conn, goal, max_iterations=1)
 
 
 def test_quadric_connection_validates():
