@@ -13,6 +13,7 @@ from .errors import (
     BadPairing,
     ContextMismatch,
     NonSimpleRoot,
+    NoConvergence,
     NonUnitPivot,
     NotNearIsotropic,
 )
@@ -54,7 +55,8 @@ def hensel_root(ctx: RingContext, coeffs, x0) -> PadicScalar:
         if fx.is_zero():
             break
         x = x - fx * poly_eval(ctx, fprime, x).inverse()
-    assert poly_eval(ctx, coeffs, x).is_zero()
+    if not poly_eval(ctx, coeffs, x).is_zero():
+        raise NoConvergence(f"Newton iteration left f(x) nonzero after {steps} steps")
     return x
 
 
@@ -94,7 +96,8 @@ def isotropic_combination(
     a_low = hensel_root(low, quad, low.scalar(a0_res.coeffs))
     a = ctx.scalar(a_low.coeffs)
     w = u + v.scale(a * ctx.scalar(ctx.p))
-    assert lattice.pairing(w, w).is_zero()
+    if not lattice.pairing(w, w).is_zero():
+        raise NotNearIsotropic("w = u + p a v is not isotropic")
     return a, w
 
 
@@ -121,5 +124,6 @@ def orthogonalize_with_coefficient(
     vc = lattice.pairing(v, target)
     a = (ctx.zero() - vc) * uc.inverse()
     out = v + u.scale(a)
-    assert lattice.pairing(out, target).is_zero()
+    if not lattice.pairing(out, target).is_zero():
+        raise NonUnitPivot("v + a u still pairs nontrivially with the target")
     return a, out

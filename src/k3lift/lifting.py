@@ -33,6 +33,7 @@ from .hensel import isotropic_combination, orthogonalize_with_coefficient
 from .isometry import Isometry, eigen_split, lift_eigenvector, require_tame
 from .lattice import QuadLattice
 from .linalg import RingMat, RingVec, residue_rank, solve_in_span
+from .serialize import matrix_from_json, scalar_from_json, vector_from_json
 from .witt import PadicScalar, RingContext
 
 
@@ -202,12 +203,16 @@ class SupersingularInput:
     def from_json(cls, data: dict, ctx: RingContext | None = None) -> "SupersingularInput":
         if ctx is None:
             ctx = RingContext.from_json(field(data, "ring"))
-        lat = QuadLattice(ctx, field(data, "gram"))
+        gram, matrix = field(data, "gram"), field(data, "matrix")
+        hodge_line = vector_from_json(ctx.residue_context(), field(data, "hodge_line"))
+        # the Hodge vector's length is the rank a flat Gram list is read with
+        lat = QuadLattice(ctx, matrix_from_json(ctx, gram, hodge_line.rank))
+        ample = data.get("ample")
         return cls(
             lat,
-            field(data, "matrix"),
-            field(data, "hodge_line"),
-            data.get("ample"),
+            matrix_from_json(ctx, matrix, lat.rank),
+            hodge_line,
+            None if ample is None else vector_from_json(ctx, ample),
             data.get("artin_invariant"),
         )
 
@@ -275,18 +280,17 @@ class LiftingCertificate:
     def from_json(cls, data: dict, ctx: RingContext | None = None) -> "LiftingCertificate":
         if ctx is None:
             ctx = RingContext.from_json(field(data, "ring"))
-        res = ctx.residue_context()
-        return cls(
-            ctx,
-            str(field(data, "branch")),
-            int_field(data, "order"),
-            RingMat.from_rows(ctx, field(data, "gram")),
-            RingMat.from_rows(ctx, field(data, "matrix")),
-            RingVec.from_entries(ctx, field(data, "generator")),
-            ctx.scalar(field(data, "eigenvalue")),
-            RingVec.from_entries(res, field(data, "hodge_line")),
-            data.get("transcript", []),
-        )
+        branch = str(field(data, "branch"))
+        order = int_field(data, "order")
+        gram = matrix_from_json(ctx, field(data, "gram"))
+        matrix = matrix_from_json(ctx, field(data, "matrix"), gram.rows)
+        generator = vector_from_json(ctx, field(data, "generator"))
+        eigenvalue = scalar_from_json(ctx, field(data, "eigenvalue"))
+        hodge_line = vector_from_json(ctx.residue_context(), field(data, "hodge_line"))
+        transcript = data.get("transcript", [])
+        if not isinstance(transcript, list) or not all(isinstance(e, dict) for e in transcript):
+            raise InputError("field 'transcript' must be a list of claim objects")
+        return cls(ctx, branch, order, gram, matrix, generator, eigenvalue, hodge_line, transcript)
 
     def __repr__(self) -> str:
         return f"LiftingCertificate(branch={self.branch!r}, order={self.order})"
@@ -378,19 +382,21 @@ def verify_certificate(cert: LiftingCertificate) -> VerificationReport:
         label = entry.get("label", "")
         try:
             if claim == "orthogonality":
-                w = RingVec.from_entries(ctx, entry["vector"])
+                w = vector_from_json(ctx, field(entry, "vector"))
                 record("orthogonality", lat.pairing(m, w).is_zero(), label)
             elif claim == "membership":
-                basis = [RingVec.from_entries(ctx, b) for b in entry["basis"]]
-                coords = solve_in_span(basis, m)
+                basis = field(entry, "basis")
+                if not isinstance(basis, list):
+                    raise InputError("field 'basis' must be a list of vectors")
+                coords = solve_in_span([vector_from_json(ctx, b) for b in basis], m)
                 record("membership", coords is not None, label)
             elif claim == "valuation":
-                val = ctx.scalar(entry["value"]).valuation()
-                record("valuation", val >= int(entry["minimum"]), label)
+                val = scalar_from_json(ctx, field(entry, "value")).valuation()
+                record("valuation", val >= int_field(entry, "minimum"), label)
             elif claim == "pairing-unit":
-                left = RingVec.from_entries(ctx, entry["left"])
-                right = RingVec.from_entries(ctx, entry["right"])
-                value = ctx.scalar(entry["value"])
+                left = vector_from_json(ctx, field(entry, "left"))
+                right = vector_from_json(ctx, field(entry, "right"))
+                value = scalar_from_json(ctx, field(entry, "value"))
                 ok = lat.pairing(left, right) == value and value.is_unit()
                 record("pairing-unit", ok, label)
             else:

@@ -4,7 +4,10 @@ A matrix over W(F_{p^m})/p^n is stored as a numpy object array of shape
 (m, rows, cols): slice d holds the degree-d coefficient matrix of the
 polynomial representative.  All entries are Python ints reduced mod p^n, so
 every operation is exact; numpy supplies the shape bookkeeping and the
-integer matrix products.
+integer matrix products.  The product kernels compute in int64 when
+m·k·(p^n-1)^2 < 2^63 for the call's inner dimension k (k = 1 for a scalar
+product), which no partial sum can then overflow, and in Python ints
+otherwise; either way they return object arrays.
 
 Gaussian elimination only ever divides by units.  Over the residue field
 (precision 1) every nonzero scalar is a unit, so the same sweep computes
@@ -30,11 +33,26 @@ from .witt import PadicScalar, RingContext
 # coefficient-array kernels
 
 
+def _int64_operands(ctx: RingContext, k: int, *arrays: np.ndarray):
+    """The operands of a product with inner dimension k (k = 1 for a scalar
+    product), cast to int64 when m·max(k, 1)·(p^n-1)^2 < 2^63, else unchanged.
+
+    Under that bound every coefficient of the degree convolution, a sum of at
+    most m·k products of residues, fits in int64.  _poly_reduce reduces the
+    convolution mod p^n before the x^k table, so the table step sums at most
+    m - 1 products of residues plus one residue and fits too.
+    """
+    if ctx.m * max(k, 1) * (ctx.pn - 1) ** 2 < 2**63:
+        return tuple(x.astype(np.int64) % ctx.pn for x in arrays)
+    return arrays
+
+
 def _poly_reduce(ctx: RingContext, conv: np.ndarray) -> np.ndarray:
-    """Reduce a degree-indexed array (2m-1, ...) modulo (modulus, p^n)."""
-    m = ctx.m
-    if m == 1:
-        return conv[:1] % ctx.pn
+    """Reduce a degree-indexed array (2m-1, ...) modulo (modulus, p^n);
+    the result has object dtype."""
+    m, pn = ctx.m, ctx.pn
+    if conv.dtype != object:
+        conv = conv % pn
     out = conv[:m].copy()
     for k in range(m, 2 * m - 1):
         red = ctx._xpow[k]
@@ -42,15 +60,14 @@ def _poly_reduce(ctx: RingContext, conv: np.ndarray) -> np.ndarray:
         for j in range(m):
             if red[j]:
                 out[j] = out[j] + red[j] * blk
-    return out % ctx.pn
+    return (out % pn).astype(object, copy=False)
 
 
 def _mul_arrays(ctx: RingContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product of (m, r, k) and (m, k, c) coefficient arrays."""
     m = ctx.m
-    if m == 1:
-        return (np.dot(a[0], b[0]) % ctx.pn)[None, ...]
-    conv = np.zeros((2 * m - 1,) + (a.shape[1], b.shape[2]), dtype=object)
+    a, b = _int64_operands(ctx, a.shape[2], a, b)
+    conv = np.zeros((2 * m - 1,) + (a.shape[1], b.shape[2]), dtype=a.dtype)
     for i in range(m):
         for j in range(m):
             conv[i + j] = conv[i + j] + np.dot(a[i], b[j])
@@ -60,9 +77,8 @@ def _mul_arrays(ctx: RingContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _matvec_arrays(ctx: RingContext, a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Product of (m, r, k) and (m, k) coefficient arrays."""
     m = ctx.m
-    if m == 1:
-        return (np.dot(a[0], v[0]) % ctx.pn)[None, ...]
-    conv = np.zeros((2 * m - 1, a.shape[1]), dtype=object)
+    a, v = _int64_operands(ctx, a.shape[2], a, v)
+    conv = np.zeros((2 * m - 1, a.shape[1]), dtype=a.dtype)
     for i in range(m):
         for j in range(m):
             conv[i + j] = conv[i + j] + np.dot(a[i], v[j])
@@ -72,9 +88,8 @@ def _matvec_arrays(ctx: RingContext, a: np.ndarray, v: np.ndarray) -> np.ndarray
 def _scal_arrays(ctx: RingContext, s: tuple[int, ...], a: np.ndarray) -> np.ndarray:
     """Scalar (coefficient tuple) times a degree-indexed array (m, ...)."""
     m = ctx.m
-    if m == 1:
-        return (a * s[0]) % ctx.pn
-    conv = np.zeros((2 * m - 1,) + a.shape[1:], dtype=object)
+    s, a = _int64_operands(ctx, 1, np.array(s, dtype=object), a)
+    conv = np.zeros((2 * m - 1,) + a.shape[1:], dtype=a.dtype)
     for i in range(m):
         if s[i]:
             for j in range(m):
@@ -367,33 +382,26 @@ def _rref_unit(ctx: RingContext, work: np.ndarray) -> tuple[list[int], int]:
     """In-place Gauss-Jordan sweep using unit pivots only.
 
     Returns (pivot column list, number of pivot rows).  Rows beyond the pivot
-    count end with every entry of positive valuation.
+    count end with every entry of positive valuation.  Each pivot clears its
+    column with one rank-1 update, work - f (x) pivot row, where f is the
+    column with the pivot row's own factor zeroed.
     """
     _, r, c = work.shape
     p, pn = ctx.p, ctx.pn
     pivots: list[int] = []
     cur = 0
     for col in range(c):
-        piv = None
-        for row in range(cur, r):
-            ent = work[:, row, col]
-            if any(int(e) % p for e in ent):
-                piv = row
-                break
-        if piv is None:
+        units = np.flatnonzero((work[:, cur:, col] % p != 0).any(axis=0))
+        if not units.size:
             continue
+        piv = cur + int(units[0])
         if piv != cur:
             work[:, [cur, piv], :] = work[:, [piv, cur], :]
         inv = _entry(ctx, work, (cur, col)).inverse().coeffs
-        work[:, cur, :] = _scal_arrays(ctx, inv, work[:, cur, :].copy())
-        for row in range(r):
-            if row == cur:
-                continue
-            f = tuple(int(e) for e in work[:, row, col])
-            if any(f):
-                work[:, row, :] = (
-                    work[:, row, :] - _scal_arrays(ctx, f, work[:, cur, :])
-                ) % pn
+        work[:, cur, :] = _scal_arrays(ctx, inv, work[:, cur, :])
+        f = work[:, :, col].copy()
+        f[:, cur] = 0
+        work[...] = (work - _mul_arrays(ctx, f[:, :, None], work[:, cur : cur + 1, :])) % pn
         pivots.append(col)
         cur += 1
         if cur == r:

@@ -171,7 +171,8 @@ def complete_period_line(frame: PeriodFrame, coords) -> PeriodLine:
         raise ValuationViolation("derived coordinate left p^2 W; frame is not standard")
     entries = [ctx.one()] + scalars + [last]
     generator = RingVec.from_entries(ctx, [e.coeffs for e in entries])
-    assert frame.lattice.pairing(generator, generator).is_zero()
+    if not frame.lattice.pairing(generator, generator).is_zero():
+        raise ValuationViolation("derived generator is not isotropic; frame is not standard")
     return PeriodLine(frame, scalars, last, generator)
 
 

@@ -16,6 +16,7 @@ from .errors import (
     ContextMismatch,
     InputError,
     InsufficientResidueField,
+    NoConvergence,
     NonUnit,
     NotTame,
     ValuationViolation,
@@ -346,12 +347,14 @@ class RingContext:
                 acc = acc * t + c
             return acc
 
-        for _ in range(max(1, self.n.bit_length() + 1)):
+        steps = max(1, self.n.bit_length() + 1)
+        for _ in range(steps):
             fy = ev(f, y)
             if fy.is_zero():
                 break
             y = y - fy * ev(fprime, y).inverse()
-        assert ev(f, y).is_zero()
+        if not ev(f, y).is_zero():
+            raise NoConvergence(f"Frobenius root of the modulus not reached in {steps} steps")
         return y
 
     def frobenius(self, a: "PadicScalar") -> "PadicScalar":
@@ -576,7 +579,8 @@ class PadicScalar:
         two = ctx.scalar(2)
         for _ in range(steps):
             b = b * (two - self * b)
-        assert (self * b) == ctx.one()
+        if self * b != ctx.one():
+            raise NoConvergence(f"Newton inversion not reached in {steps} steps")
         return b
 
     def exact_div_p(self, k: int = 1) -> "PadicScalar":

@@ -293,17 +293,19 @@ def test_lift_search_nonsymplectic_worked():
     assert out["eigenvalue"] == [124]
 
 
-def test_lift_search_symplectic_worked():
-    ctx = RingContext(3, 3, 1)
-    payload = {
-        "ring": ctx.to_json(),
+def _symplectic_payload():
+    return {
+        "ring": RingContext(3, 3, 1).to_json(),
         "gram": [[3, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
         "matrix": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
         "hodge_line": [1, 0, 0, 0],
         "ample": [0, 0, 1, 0],
         "order": 1,
     }
-    proc = run_cli(["lift-search", "--mode", "ss-symplectic"], payload)
+
+
+def test_lift_search_symplectic_worked():
+    proc = run_cli(["lift-search", "--mode", "ss-symplectic"], _symplectic_payload())
     assert proc.returncode == 0
     out = out_json(proc)
     assert out["generator"] == [[1], [12], [0], [0]]
@@ -372,6 +374,29 @@ def test_verify_malformed_payload_exit_1(payload, missing):
     assert stderr.count("\n") == 1
     err = json.loads(stderr)
     assert err == {"code": "InputError", "message": f"payload is missing required field '{missing}'"}
+    assert proc.stdout == b""
+
+
+@pytest.mark.parametrize(
+    "mode, key, value, message",
+    [
+        (None, "gram", "abc", "a matrix must be a nonempty list"),
+        (None, "transcript", 5, "field 'transcript' must be a list of claim objects"),
+        ("ss-symplectic", "ample", "x", "a vector must be a list of scalars"),
+    ],
+)
+def test_wrong_typed_field_exit_1(mode, key, value, message):
+    if mode is None:
+        args, payload = ["verify"], _nonsymplectic_cert().to_json()
+    else:
+        args, payload = ["lift-search", "--mode", mode], _symplectic_payload()
+    payload[key] = value
+    proc = run_cli(args, payload)
+    assert proc.returncode == 1
+    stderr = proc.stderr.decode()
+    assert "Traceback" not in stderr
+    assert stderr.count("\n") == 1
+    assert json.loads(stderr) == {"code": "InputError", "message": message}
     assert proc.stdout == b""
 
 

@@ -2,7 +2,10 @@
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from k3lift import (
     DimensionMismatch,
@@ -20,6 +23,8 @@ from k3lift import (
     solve,
     solve_in_span,
 )
+from k3lift import linalg
+from k3lift.samples import random_scalar
 
 C = RingContext(5, 3, 1)
 
@@ -181,3 +186,195 @@ def test_json_round_trip():
     assert RingMat.from_rows(C, a.to_json()) == a
     v = RingVec.from_entries(C, [1, 2])
     assert RingVec.from_entries(C, v.to_json()) == v
+
+
+# -- int64 kernels and the rank-1 elimination update ---------------------------------
+
+
+def _ref_mul(ctx, a, b):
+    """Product of two coefficient tuples in Python ints: schoolbook
+    convolution, then long division by the monic modulus."""
+    m = ctx.m
+    conv = [0] * (2 * m - 1)
+    for i in range(m):
+        for j in range(m):
+            conv[i + j] += a[i] * b[j]
+    for k in range(2 * m - 2, m - 1, -1):
+        top = conv[k]
+        for j in range(m + 1):
+            conv[k - m + j] -= top * ctx.modulus[j]
+    return tuple(c % ctx.pn for c in conv[:m])
+
+
+def _ref_matmul(ctx, a, b):
+    """(m, r, k) times (m, k, c) coefficient arrays, entry by entry."""
+    _, r, k = a.shape
+    c = b.shape[2]
+    out = np.zeros((ctx.m, r, c), dtype=object)
+    for i in range(r):
+        for j in range(c):
+            acc = [0] * ctx.m
+            for t in range(k):
+                prod = _ref_mul(ctx, tuple(a[:, i, t]), tuple(b[:, t, j]))
+                acc = [x + y for x, y in zip(acc, prod)]
+            out[:, i, j] = [x % ctx.pn for x in acc]
+    return out
+
+
+def _coeff_array(ctx, shape, draw_entry):
+    arr = np.zeros((ctx.m,) + shape, dtype=object)
+    for idx in np.ndindex(arr.shape):
+        arr[idx] = draw_entry()
+    return arr
+
+
+def _takes_int64(ctx, k):
+    return linalg._int64_operands(ctx, k, np.zeros((ctx.m, 1), dtype=object))[0].dtype == np.int64
+
+
+def _check_kernels(ctx, a, b, s):
+    """_mul_arrays, _matvec_arrays and _scal_arrays against the reference;
+    every result is object dtype holding Python ints."""
+    # s times a is the (1 x 1) by (1 x r*k) product
+    s_mat = np.array(s, dtype=object).reshape(ctx.m, 1, 1)
+    scaled = _ref_matmul(ctx, s_mat, a.reshape(ctx.m, 1, -1)).reshape(a.shape)
+    outs = [
+        (linalg._mul_arrays(ctx, a, b), _ref_matmul(ctx, a, b)),
+        (linalg._matvec_arrays(ctx, a, b[:, :, 0]), _ref_matmul(ctx, a, b[:, :, :1])[:, :, 0]),
+        (linalg._scal_arrays(ctx, s, a), scaled),
+    ]
+    for got, want in outs:
+        assert got.dtype == object
+        assert all(type(x) is int for x in got.flat)
+        assert got.shape == want.shape and (got == want).all()
+
+
+# int64 for every small inner dimension / object for every inner dimension
+KERNEL_CONTEXTS = [(3, 4, 1), (5, 3, 2), (7, 2, 3), (3, 20, 1), (5, 20, 2), (3, 20, 3)]
+
+
+@pytest.mark.parametrize("spec", KERNEL_CONTEXTS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_kernels_agree_with_python_ints(spec, data):
+    ctx = RingContext(*spec)
+    r, k, c = (data.draw(st.integers(1, 4)) for _ in range(3))
+    assert _takes_int64(ctx, k) == (ctx.pn < 10**6)
+    entry = st.one_of(st.just(ctx.pn - 1), st.integers(0, ctx.pn - 1))
+    a = _coeff_array(ctx, (r, k), lambda: data.draw(entry))
+    b = _coeff_array(ctx, (k, c), lambda: data.draw(entry))
+    s = tuple(data.draw(entry) for _ in range(ctx.m))
+    _check_kernels(ctx, a, b, s)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_int64_threshold(m):
+    # K* = floor((2^63 - 1) / (m (p^n - 1)^2)) is the largest inner dimension
+    # the int64 path takes; all entries p^n - 1 make every sum its largest
+    ctx = RingContext(3, 19, m)
+    top = ctx.pn - 1
+    k_star = (2**63 - 1) // (m * top**2)
+    assert 1 <= k_star <= 6
+    for k, int64 in ((k_star, True), (k_star + 1, False)):
+        assert _takes_int64(ctx, k) == int64
+        a = _coeff_array(ctx, (2, k), lambda: top)
+        b = _coeff_array(ctx, (k, 2), lambda: top)
+        _check_kernels(ctx, a, b, (top,) * m)
+    # a scalar product is inner dimension 1: the bound moves with p^n alone
+    assert _takes_int64(ctx, 1)
+    wide = RingContext(3, 20, m)
+    assert not _takes_int64(wide, 1)
+    for c in (ctx, wide):
+        a = _coeff_array(c, (3, 1), lambda: c.pn - 1)
+        _check_kernels(c, a, _coeff_array(c, (1, 1), lambda: c.pn - 1), (c.pn - 1,) * m)
+
+
+def _per_row_rref(ctx, work):
+    """The unit-pivot sweep before the rank-1 update: a per-entry residue
+    test for the pivot, then one scaled subtraction per row.  Kept as an
+    oracle for _rref_unit."""
+    _, r, c = work.shape
+    p, pn = ctx.p, ctx.pn
+    pivots = []
+    cur = 0
+    for col in range(c):
+        piv = None
+        for row in range(cur, r):
+            if any(int(e) % p for e in work[:, row, col]):
+                piv = row
+                break
+        if piv is None:
+            continue
+        if piv != cur:
+            work[:, [cur, piv], :] = work[:, [piv, cur], :]
+        inv = linalg._entry(ctx, work, (cur, col)).inverse().coeffs
+        work[:, cur, :] = linalg._scal_arrays(ctx, inv, work[:, cur, :].copy())
+        for row in range(r):
+            if row == cur:
+                continue
+            f = tuple(int(e) for e in work[:, row, col])
+            if any(f):
+                work[:, row, :] = (work[:, row, :] - linalg._scal_arrays(ctx, f, work[:, cur, :])) % pn
+        pivots.append(col)
+        cur += 1
+        if cur == r:
+            break
+    return pivots, cur
+
+
+def _plain(out):
+    if isinstance(out, list):
+        return [_plain(x) for x in out]
+    return out.to_json() if hasattr(out, "to_json") else out
+
+
+def _elimination_results(a, sing, defect, basis, inside, outside):
+    def attempt(fn, *args):
+        try:
+            return _plain(fn(*args))
+        except (NonUnitPivot, PrecisionLoss) as exc:
+            return type(exc).__name__
+
+    b = a.transpose()
+    return [
+        attempt(linalg.solve, a, b),
+        attempt(linalg.solve, a, b.column(3)),
+        attempt(linalg.inverse, a),
+        attempt(linalg.solve, sing, b),
+        attempt(linalg.kernel, sing),
+        attempt(linalg.kernel, defect),
+        attempt(linalg.solve_in_span, basis, inside),
+        attempt(linalg.solve_in_span, basis, outside),
+        attempt(linalg.independent_columns, defect),
+        attempt(linalg.residue_rank, sing),
+    ]
+
+
+@pytest.mark.parametrize("spec", [(5, 4, 2), (7, 6, 2), (5, 20, 2)])
+def test_elimination_matches_per_row_sweep_at_rank_22(spec, monkeypatch):
+    ctx = RingContext(*spec)
+    rng = random.Random(sum(spec))
+
+    def dense(rows, cols):
+        return RingMat.from_rows(ctx, [[random_scalar(rng, ctx) for _ in range(cols)] for _ in range(rows)])
+
+    def diag(entries):
+        d = RingMat.zeros(ctx, len(entries), len(entries))
+        for i, e in enumerate(entries):
+            d.arr[:, i, i] = ctx.scalar(e).coeffs
+        return d
+
+    a = dense(22, 22)
+    left, right = dense(22, 22), dense(22, 22)
+    sing = left @ diag([1] * 19 + [0] * 3) @ right  # kernel of rank 3, determined
+    defect = left @ diag([1] * 20 + [ctx.p, 0]) @ right  # kernel not determined
+    basis = [a.column(j) for j in range(6)]
+    inside = basis[0].scale(random_scalar(rng, ctx)) + basis[5].scale(random_scalar(rng, ctx))
+    outside = dense(22, 1).column(0)
+
+    new = _elimination_results(a, sing, defect, basis, inside, outside)
+    monkeypatch.setattr(linalg, "_rref_unit", _per_row_rref)
+    old = _elimination_results(a, sing, defect, basis, inside, outside)
+    assert new == old
+    assert len(new[4]) == 3 and new[5] == "PrecisionLoss" and new[3] == "NonUnitPivot"
+    assert new[6] is not None and new[7] is None

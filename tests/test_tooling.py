@@ -1,0 +1,35 @@
+"""Repository-level checks: no assert statements in the package, and the
+benchmark harness runs end to end."""
+
+import ast
+import json
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "k3lift"
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips asserts, so a postcondition must raise a typed error
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_benchmark_harness_smoke():
+    # one short certify-k3 run; its ops are checked by perfbench/check.py's
+    # own integer arithmetic.  No timing is asserted.
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "certify-k3", "--seed", "3",
+         "--seconds", "1", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    last = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert last["correct"] is True
+    assert last["failed"] == 0
+    assert {"ops_per_s", "setup_s", "peak_rss_mb"} <= set(last["metrics"])
