@@ -4,7 +4,7 @@ The K3 lattice U^3 + E8(-1)^2 is the fixed home of every construction in
 this package; its discriminant group is trivial and its signature (3, 19).
 """
 
-from k3lift import QuadLattice, RingContext, smith_normal_form, standard_lattice
+from k3lift import IntLattice, RingContext, smith_normal_form, standard_lattice
 
 u = standard_lattice("U")
 e8 = standard_lattice("E8")
@@ -15,7 +15,7 @@ print("K3:", k3.rank, "signature", k3.signature(), "det", k3.determinant())
 print("K3 is even and unimodular:", k3.even, k3.is_unimodular())
 
 # discriminant groups read off the Smith normal form of the Gram matrix
-threes = QuadLattice(None, [[3 if i == j else 0 for j in range(4)] for i in range(4)], even=False)
+threes = IntLattice([[3 if i == j else 0 for j in range(4)] for i in range(4)])
 picard = u.direct_sum(threes)
 disc = picard.discriminant_group()
 print("U + <3>^4 discriminant group:", disc.invariants, "order", disc.order)

@@ -134,8 +134,6 @@ def _cmd_isotropic_lift(args, ctx):
             lat = lattice_from_json(field(data, "lattice"), ctx)
         else:
             lat = lattice_from_json({"gram": field(data, "gram"), "ring": data.get("ring")}, ctx)
-        if lat.ring is None:
-            raise InputError("isotropic-lift needs a lattice over a ring context")
         u = vector_from_json(lat.ring, field(data, "u"))
         v = vector_from_json(lat.ring, field(data, "v"))
     a, w = isotropic_combination(lat, u, v)

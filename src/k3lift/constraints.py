@@ -11,7 +11,7 @@ assuming it.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 
 from .errors import InputError
 
@@ -69,7 +69,7 @@ def primes_up_to(limit: int) -> list[int]:
         return []
     sieve = bytearray([1]) * (limit + 1)
     sieve[0] = sieve[1] = 0
-    for i in range(2, int(limit**0.5) + 1):
+    for i in range(2, isqrt(limit) + 1):
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
     return [i for i, flag in enumerate(sieve) if flag]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from .errors import (
     BadPairing,
-    ContextMismatch,
     NonSimpleRoot,
     NoConvergence,
     NonUnitPivot,
@@ -72,8 +71,6 @@ def isotropic_combination(
     w = u mod p, so the reduced line through u is unchanged.
     """
     ctx = lattice.ring
-    if ctx is None:
-        raise ContextMismatch("isotropic combinations need a ring lattice")
     uu = lattice.pairing(u, u)
     uv = lattice.pairing(u, v)
     vv = lattice.pairing(v, v)
@@ -116,8 +113,6 @@ def orthogonalize_with_coefficient(
 ) -> tuple[PadicScalar, RingVec]:
     """Same as orthogonalize_against but also returns the coefficient a."""
     ctx = lattice.ring
-    if ctx is None:
-        raise ContextMismatch("orthogonalization needs a ring lattice")
     uc = lattice.pairing(u, target)
     if not uc.is_unit():
         raise NonUnitPivot("u.target must be a unit")

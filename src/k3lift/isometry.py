@@ -24,7 +24,7 @@ from .errors import (
     OrderViolation,
     ProjectionCollapse,
 )
-from .lattice import QuadLattice
+from .lattice import IntLattice, QuadLattice
 from .linalg import RingMat, RingVec, independent_columns, is_unimodular
 from .witt import PadicScalar, RingContext
 
@@ -45,7 +45,7 @@ class Isometry:
     def __init__(
         self, lattice: QuadLattice, matrix, check: bool = True, order: int | None = None
     ):
-        if lattice.ring is None:
+        if not isinstance(lattice, QuadLattice):
             raise InputError("an Isometry needs a ring lattice; use Isometry.from_integer")
         self.lattice = lattice
         if isinstance(matrix, RingMat):
@@ -72,14 +72,12 @@ class Isometry:
                     )
 
     @classmethod
-    def from_integer(cls, lattice: QuadLattice, rows, ctx: RingContext) -> "Isometry":
+    def from_integer(cls, lattice: IntLattice, rows, ctx: RingContext) -> "Isometry":
         """Base change an isometry of a Z-lattice into a ring context.
 
         A^T G A = G is checked over Z, so the image is an isometry in every
         ring context.
         """
-        if lattice.ring is not None:
-            raise InputError("from_integer starts from a Z-lattice")
         a = np.array([[int(x) for x in row] for row in rows], dtype=object)
         if a.shape != (lattice.rank, lattice.rank):
             raise DimensionMismatch("matrix shape must match lattice rank")

@@ -1,4 +1,5 @@
-"""Quadratic lattices over Z and over truncated Witt rings.
+"""Quadratic lattices over Z (IntLattice) and over truncated Witt rings
+(QuadLattice).
 
 A lattice is a free module with a symmetric Gram matrix.  Integer lattices
 support discriminant groups (via Smith normal form), saturated orthogonal
@@ -20,8 +21,8 @@ from .errors import (
     DimensionMismatch,
     InputError,
 )
-from .linalg import RingMat, RingVec, kernel, residue_rank
-from .witt import RingContext
+from .linalg import RingMat, RingVec, _entry, _matvec_arrays, kernel
+from .witt import PadicScalar, RingContext
 
 # ---------------------------------------------------------------------------
 # integer matrix utilities
@@ -188,134 +189,73 @@ def signature(mat) -> tuple[int, int, int]:
 # lattices
 
 
-class QuadLattice:
-    """Free quadratic lattice over Z (ring=None) or over a ring context."""
+def _int_array(data) -> np.ndarray:
+    """data as an object array of Python ints; any other entry is refused."""
+    a = np.array(data, dtype=object)
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in a.flat):
+        raise InputError("an integer lattice takes integer entries")
+    return a
 
-    __slots__ = ("ring", "rank", "gram", "_even")
 
-    def __init__(self, ring: RingContext | None, gram, even: bool | None = None):
-        self.ring = ring
-        if ring is None:
-            g = np.array(
-                [[int(x) for x in row] for row in _rows_of(gram)], dtype=object
-            )
-            if g.ndim != 2 or g.shape[0] != g.shape[1]:
-                raise DimensionMismatch("Gram matrix must be square")
-            if not (g == g.T).all():
-                raise InputError("Gram matrix must be symmetric")
-            self.gram = g
-            self.rank = g.shape[0]
-            diag_even = all(g[i, i] % 2 == 0 for i in range(self.rank))
-            if even is not None and even and not diag_even:
-                raise InputError("lattice flagged even has an odd diagonal entry")
-            self._even = diag_even if even is None else even
-        else:
-            if isinstance(gram, RingMat):
-                if gram.ctx != ring:
-                    raise ContextMismatch("Gram context differs from lattice ring")
-                g = gram
-            else:
-                g = RingMat.from_rows(ring, _rows_of(gram))
-            if g.rows != g.cols:
-                raise DimensionMismatch("Gram matrix must be square")
-            if not g.is_symmetric():
-                raise InputError("Gram matrix must be symmetric")
-            self.gram = g
-            self.rank = g.rows
-            self._even = even
+class IntLattice:
+    """Free quadratic lattice over Z with a symmetric integer Gram matrix."""
 
-    # -- basic structure -----------------------------------------------------
+    __slots__ = ("rank", "gram")
+
+    def __init__(self, gram):
+        g = _int_array(gram)
+        if g.ndim != 2 or g.shape[0] != g.shape[1]:
+            raise DimensionMismatch("Gram matrix must be square")
+        if not (g == g.T).all():
+            raise InputError("Gram matrix must be symmetric")
+        self.gram = g
+        self.rank = g.shape[0]
 
     @property
-    def is_integral(self) -> bool:
-        return self.ring is None
+    def even(self) -> bool:
+        """Every norm is even exactly when every diagonal entry is."""
+        return all(self.gram[i, i] % 2 == 0 for i in range(self.rank))
 
-    @property
-    def even(self) -> bool | None:
-        return self._even
-
-    def vector(self, entries) -> RingVec | np.ndarray:
-        if self.ring is None:
-            v = np.array([int(x) for x in entries], dtype=object)
-            if v.shape != (self.rank,):
-                raise DimensionMismatch(f"vector length must be {self.rank}")
-            return v
-        if isinstance(entries, RingVec):
-            if entries.ctx != self.ring or entries.rank != self.rank:
-                raise ContextMismatch("vector does not match lattice")
-            return entries
-        v = RingVec.from_entries(self.ring, entries)
-        if v.rank != self.rank:
+    def vector(self, entries) -> np.ndarray:
+        v = _int_array(entries)
+        if v.shape != (self.rank,):
             raise DimensionMismatch(f"vector length must be {self.rank}")
         return v
 
-    def pairing(self, u, v):
-        """Bilinear pairing u . v (an int over Z, a scalar over a ring)."""
+    def pairing(self, u, v) -> int:
         u, v = self.vector(u), self.vector(v)
-        if self.ring is None:
-            return int(np.dot(u, np.dot(self.gram, v)))
-        gv = self.gram @ v
-        acc = self.ring.zero()
-        for i in range(self.rank):
-            acc = acc + u.entry(i) * gv.entry(i)
-        return acc
+        return int(np.dot(u, np.dot(self.gram, v)))
 
-    def norm(self, v):
+    def norm(self, v) -> int:
         return self.pairing(v, v)
 
     def is_isotropic_vector(self, v) -> bool:
-        """True when v . v = 0 at the working precision (exactly 0 over Z)."""
-        nv = self.norm(v)
-        return nv == 0 if self.ring is None else nv.is_zero()
+        return self.norm(v) == 0
 
     def determinant(self) -> int:
-        if self.ring is not None:
-            raise InputError("integer determinant is defined for Z-lattices")
         return bareiss_determinant(self.gram)
 
     def signature(self) -> tuple[int, int, int]:
-        if self.ring is not None:
-            raise InputError("signature is defined for Z-lattices")
         return signature(self.gram)
 
     def is_unimodular(self) -> bool:
-        if self.ring is None:
-            return abs(self.determinant()) == 1
-        return residue_rank(self.gram) == self.rank
+        return abs(self.determinant()) == 1
 
     def change_ring(self, ctx: RingContext) -> "QuadLattice":
-        """Base change a Z-lattice into a ring context."""
-        if self.ring is not None:
-            if self.ring == ctx:
-                return self
-            raise InputError("change_ring starts from a Z-lattice")
-        rows = [[int(x) % ctx.pn for x in row] for row in self.gram]
-        return QuadLattice(ctx, rows)
+        """Base change into a ring context."""
+        return QuadLattice(ctx, self.gram.tolist())
 
-    def direct_sum(self, other: "QuadLattice") -> "QuadLattice":
-        if (self.ring is None) != (other.ring is None):
+    def direct_sum(self, other: "IntLattice") -> "IntLattice":
+        if not isinstance(other, IntLattice):
             raise ContextMismatch("cannot sum Z and ring lattices")
-        if self.ring is None:
-            r1, r2 = self.rank, other.rank
-            g = np.zeros((r1 + r2, r1 + r2), dtype=object)
-            g[:r1, :r1] = self.gram
-            g[r1:, r1:] = other.gram
-            return QuadLattice(None, g)
-        if other.ring != self.ring:
-            raise ContextMismatch("ring contexts differ")
         r1, r2 = self.rank, other.rank
-        arr = np.zeros((self.ring.m, r1 + r2, r1 + r2), dtype=object)
-        arr[:, :r1, :r1] = self.gram.arr
-        arr[:, r1:, r1:] = other.gram.arr
-        return QuadLattice(self.ring, RingMat(self.ring, arr))
-
-    # -- derived structure -----------------------------------------------------
+        g = np.zeros((r1 + r2, r1 + r2), dtype=object)
+        g[:r1, :r1] = self.gram
+        g[r1:, r1:] = other.gram
+        return IntLattice(g)
 
     def discriminant_group(self) -> "DiscriminantGroup":
-        if self.ring is not None:
-            raise InputError("discriminant groups are computed over Z")
-        det = self.determinant()
-        if det == 0:
+        if self.determinant() == 0:
             raise DegenerateForm("Gram matrix is singular over Q")
         d, _, _ = smith_normal_form(self.gram)
         invariants = tuple(
@@ -323,34 +263,87 @@ class QuadLattice:
         )
         return DiscriminantGroup(invariants)
 
-    def orthogonal_complement(self, vectors) -> list:
+    def orthogonal_complement(self, vectors) -> list[np.ndarray]:
+        """Basis of the saturated sublattice {x : x . s = 0 for all s in vectors}."""
+        vecs = [self.vector(s) for s in vectors]
+        if not vecs:
+            return [self.vector([1 if i == j else 0 for j in range(self.rank)]) for i in range(self.rank)]
+        pair_rows = np.array([np.dot(self.gram, s) for s in vecs], dtype=object)
+        return [row.copy() for row in integer_kernel(pair_rows)]
+
+    def to_json(self) -> dict:
+        return {"ring": "Z", "rank": self.rank, "gram": self.gram.tolist()}
+
+    def __repr__(self) -> str:
+        return f"IntLattice(rank={self.rank})"
+
+
+class QuadLattice:
+    """Free quadratic lattice over a ring context W(F_q)/p^n."""
+
+    __slots__ = ("ring", "rank", "gram")
+
+    def __init__(self, ring: RingContext, gram):
+        if not isinstance(ring, RingContext):
+            raise InputError("a QuadLattice needs a ring context; use IntLattice over Z")
+        self.ring = ring
+        if isinstance(gram, RingMat):
+            if gram.ctx != ring:
+                raise ContextMismatch("Gram context differs from lattice ring")
+            g = gram
+        else:
+            g = RingMat.from_rows(ring, gram)
+        if g.rows != g.cols:
+            raise DimensionMismatch("Gram matrix must be square")
+        if not g.is_symmetric():
+            raise InputError("Gram matrix must be symmetric")
+        self.gram = g
+        self.rank = g.rows
+
+    def vector(self, entries) -> RingVec:
+        v = entries if isinstance(entries, RingVec) else RingVec.from_entries(self.ring, entries)
+        if v.ctx != self.ring:
+            raise ContextMismatch("vector does not match lattice")
+        if v.rank != self.rank:
+            raise DimensionMismatch(f"vector length must be {self.rank}")
+        return v
+
+    def pairing(self, u, v) -> PadicScalar:
+        """Bilinear pairing u . v = u^T (G v), one coefficient-array product."""
+        u, v = self.vector(u), self.vector(v)
+        gv = self.gram @ v
+        return _entry(self.ring, _matvec_arrays(self.ring, u.arr[:, None, :], gv.arr), (0,))
+
+    def norm(self, v) -> PadicScalar:
+        return self.pairing(v, v)
+
+    def is_isotropic_vector(self, v) -> bool:
+        """True when v . v = 0 at the working precision."""
+        return self.norm(v).is_zero()
+
+    def direct_sum(self, other: "QuadLattice") -> "QuadLattice":
+        if not isinstance(other, QuadLattice) or other.ring != self.ring:
+            raise ContextMismatch("ring contexts differ")
+        r1, r2 = self.rank, other.rank
+        arr = np.zeros((self.ring.m, r1 + r2, r1 + r2), dtype=object)
+        arr[:, :r1, :r1] = self.gram.arr
+        arr[:, r1:, r1:] = other.gram.arr
+        return QuadLattice(self.ring, RingMat(self.ring, arr))
+
+    def orthogonal_complement(self, vectors) -> list[RingVec]:
         """Basis of {x : x . s = 0 for all s in vectors}.
 
-        Over Z the result is a basis of a saturated sublattice.  Over a ring
-        it requires the pairing rows to eliminate with unit pivots; otherwise
-        the kernel is precision-dependent and PrecisionLoss is raised.
+        The pairing rows must eliminate with unit pivots; otherwise the
+        kernel is precision-dependent and PrecisionLoss is raised.
         """
         vecs = [self.vector(s) for s in vectors]
-        if self.ring is None:
-            if not vecs:
-                return [self.vector([1 if i == j else 0 for j in range(self.rank)]) for i in range(self.rank)]
-            pair_rows = np.array([np.dot(self.gram, s) for s in vecs], dtype=object)
-            return [row.copy() for row in integer_kernel(pair_rows)]
         if not vecs:
             return [RingVec.basis_vector(self.ring, self.rank, i) for i in range(self.rank)]
         rows = [self.gram @ s for s in vecs]
         mat = RingMat.from_columns(self.ring, rows).transpose()
         return kernel(mat)
 
-    # -- serialization ---------------------------------------------------------
-
     def to_json(self) -> dict:
-        if self.ring is None:
-            return {
-                "ring": "Z",
-                "rank": self.rank,
-                "gram": [[int(x) for x in row] for row in self.gram],
-            }
         return {
             "ring": self.ring.to_json(),
             "rank": self.rank,
@@ -358,30 +351,14 @@ class QuadLattice:
         }
 
     def __repr__(self) -> str:
-        base = "Z" if self.ring is None else repr(self.ring)
-        return f"QuadLattice(rank={self.rank} over {base})"
+        return f"QuadLattice(rank={self.rank} over {self.ring!r})"
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, QuadLattice) or other.rank != self.rank:
-            return False
-        if (other.ring is None) != (self.ring is None):
-            return False
-        if self.ring is None:
-            return bool((other.gram == self.gram).all())
-        return other.ring == self.ring and other.gram == self.gram
-
-
-def _rows_of(gram):
-    """Accept nested rows or a flat row-major list."""
-    if isinstance(gram, np.ndarray):
-        return gram.tolist()
-    gram = list(gram)
-    if gram and not isinstance(gram[0], (list, tuple, np.ndarray)):
-        r = int(round(len(gram) ** 0.5))
-        if r * r != len(gram):
-            raise DimensionMismatch("flat Gram array must have square length")
-        return [gram[i * r : (i + 1) * r] for i in range(r)]
-    return gram
+        return (
+            isinstance(other, QuadLattice)
+            and other.ring == self.ring
+            and other.gram == self.gram
+        )
 
 
 @dataclass(frozen=True)
@@ -434,14 +411,14 @@ def _e8_gram() -> list[list[int]]:
     return g
 
 
-def standard_lattice(name: str) -> QuadLattice:
+def standard_lattice(name: str) -> IntLattice:
     """The hyperbolic plane U, the even unimodular E8 (negative definite), or
     the K3 lattice U^3 + E8 + E8 of rank 22 and signature (3, 19)."""
     key = name.strip().upper()
     if key == "U":
-        return QuadLattice(None, [[0, 1], [1, 0]])
+        return IntLattice([[0, 1], [1, 0]])
     if key == "E8":
-        return QuadLattice(None, _e8_gram())
+        return IntLattice(_e8_gram())
     if key == "K3":
         u = standard_lattice("U")
         e8 = standard_lattice("E8")
@@ -452,9 +429,9 @@ def standard_lattice(name: str) -> QuadLattice:
     raise InputError(f"unknown standard lattice {name!r} (use U, E8, K3)")
 
 
-def discriminant_group(lattice: QuadLattice) -> DiscriminantGroup:
+def discriminant_group(lattice: IntLattice) -> DiscriminantGroup:
     return lattice.discriminant_group()
 
 
-def orthogonal_complement(lattice: QuadLattice, vectors) -> list:
+def orthogonal_complement(lattice: IntLattice | QuadLattice, vectors) -> list:
     return lattice.orthogonal_complement(vectors)

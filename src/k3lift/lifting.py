@@ -49,8 +49,6 @@ class SlopeDecomposition:
 
     def __init__(self, lattice: QuadLattice, low, middle, high, frobenius=None):
         ctx = lattice.ring
-        if ctx is None:
-            raise InputError("slope decompositions need a ring lattice")
         self.lattice = lattice
         self.low = [lattice.vector(v) for v in low]
         self.middle = [lattice.vector(v) for v in middle]
@@ -123,14 +121,24 @@ class SlopeDecomposition:
     def from_json(cls, data: dict, ctx: RingContext | None = None) -> "SlopeDecomposition":
         if ctx is None:
             ctx = RingContext.from_json(field(data, "ring"))
-        lat = QuadLattice(ctx, field(data, "gram"))
+        low, middle, high = (_vectors_from_json(ctx, data, k) for k in ("low", "middle", "high"))
+        # the pieces' total length is the rank a flat Gram list is read with
+        rank = len(low) + len(middle) + len(high)
+        frobenius = data.get("frobenius")
         return cls(
-            lat,
-            data.get("low", []),
-            data.get("middle", []),
-            data.get("high", []),
-            data.get("frobenius"),
+            QuadLattice(ctx, matrix_from_json(ctx, field(data, "gram"), rank)),
+            low,
+            middle,
+            high,
+            None if frobenius is None else matrix_from_json(ctx, frobenius, rank),
         )
+
+
+def _vectors_from_json(ctx: RingContext, data: dict, key: str) -> list[RingVec]:
+    vecs = data.get(key, [])
+    if not isinstance(vecs, list):
+        raise InputError(f"field '{key}' must be a list of vectors")
+    return [vector_from_json(ctx, v) for v in vecs]
 
 
 class SupersingularInput:
@@ -145,8 +153,6 @@ class SupersingularInput:
 
     def __init__(self, lattice: QuadLattice, matrix, hodge_line, ample=None, artin_invariant=None):
         ctx = lattice.ring
-        if ctx is None:
-            raise InputError("supersingular inputs need a ring lattice")
         self.lattice = lattice
         self.matrix = matrix if isinstance(matrix, RingMat) else RingMat.from_rows(ctx, matrix)
         if self.matrix.rows != lattice.rank or self.matrix.cols != lattice.rank:

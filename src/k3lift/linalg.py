@@ -129,6 +129,8 @@ class RingVec:
 
     @classmethod
     def from_entries(cls, ctx: RingContext, entries) -> "RingVec":
+        if not isinstance(entries, (list, tuple)):
+            raise InputError("a vector must be a list of entries")
         scalars = [ctx.scalar(e) for e in entries]
         arr = np.zeros((ctx.m, len(scalars)), dtype=object)
         for i, s in enumerate(scalars):
@@ -227,6 +229,10 @@ class RingMat:
 
     @classmethod
     def from_rows(cls, ctx: RingContext, rows) -> "RingMat":
+        if not isinstance(rows, (list, tuple)) or not all(
+            isinstance(row, (list, tuple)) for row in rows
+        ):
+            raise InputError("a matrix must be a list of rows")
         rows = [[ctx.scalar(e) for e in row] for row in rows]
         r = len(rows)
         c = len(rows[0]) if r else 0

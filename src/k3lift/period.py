@@ -41,8 +41,6 @@ class PeriodFrame:
     __slots__ = ("lattice",)
 
     def __init__(self, lattice: QuadLattice):
-        if lattice.ring is None:
-            raise InputError("a period frame needs a ring lattice")
         r = lattice.rank
         if r < 3:
             raise DimensionMismatch("frame rank must be at least 3")
@@ -81,9 +79,11 @@ class PeriodFrame:
 
     @classmethod
     def from_json(cls, data: dict, ctx: RingContext | None = None) -> "PeriodFrame":
+        from .serialize import matrix_from_json  # serialize imports this module
+
         if ctx is None:
             ctx = RingContext.from_json(field(data, "ring"))
-        return cls(QuadLattice(ctx, field(data, "gram")))
+        return cls(QuadLattice(ctx, matrix_from_json(ctx, field(data, "gram"))))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PeriodFrame) and other.lattice == self.lattice

@@ -4,14 +4,15 @@ One wire format: JSON with every ring scalar as its coefficient array
 [c_0, ..., c_{m-1}] of integers in [0, p^n).  No floats anywhere.  Output
 is byte-deterministic: sorted keys, compact separators, trailing newline.
 
-Loaders are lenient on input (plain ints are accepted wherever a scalar
-is expected, flat row-major lists wherever a matrix is) but emitters
-always produce the full coefficient-array form.
+Loaders accept a plain int wherever a scalar is expected, and a flat
+row-major list of plain ints with a square length wherever a matrix is;
+emitters always produce the full coefficient-array form.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, IO
 
 from .errors import InputError, field
@@ -49,13 +50,7 @@ def load_stream(stream: IO[str]) -> Any:
 
 
 def scalar_from_json(ctx: RingContext, data) -> PadicScalar:
-    if isinstance(data, bool):
-        raise InputError("expected a scalar, got a boolean")
-    if isinstance(data, int) or (
-        isinstance(data, list) and all(isinstance(c, int) and not isinstance(c, bool) for c in data)
-    ):
-        return ctx.scalar(data)
-    raise InputError("a scalar must be an integer or a coefficient array")
+    return ctx.scalar(data)
 
 
 def vector_from_json(ctx: RingContext, data) -> RingVec:
@@ -65,9 +60,13 @@ def vector_from_json(ctx: RingContext, data) -> RingVec:
 
 
 def matrix_from_json(ctx: RingContext, data, rank: int | None = None) -> RingMat:
-    """Rows-of-scalars; a flat list is reshaped when the rank is known."""
+    """Rows of scalars.  A flat row-major list is reshaped when its entries
+    are plain ints and its length is a perfect square, or when the rank is
+    known and the length is rank**2."""
     if not isinstance(data, list) or not data:
         raise InputError("a matrix must be a nonempty list")
+    if rank is None and all(isinstance(e, int) and not isinstance(e, bool) for e in data):
+        rank = math.isqrt(len(data))
     if not isinstance(data[0], list) or (
         data[0] and isinstance(data[0][0], int)
     ):
@@ -87,7 +86,7 @@ def lattice_from_json(data, ctx: RingContext | None = None) -> QuadLattice:
     if isinstance(data, dict):
         ring = data.get("ring")
         if ring == "Z":
-            return QuadLattice(None, field(data, "gram"))
+            raise InputError("this payload needs a lattice over a ring context, not Z")
         if ctx is None:
             if not isinstance(ring, dict):
                 raise InputError("lattice payload carries no ring and no context was given")
@@ -114,8 +113,6 @@ def isometry_from_json(data: dict, ctx: RingContext | None = None) -> Isometry:
     order = data.get("order")
     if order is not None and (isinstance(order, bool) or not isinstance(order, int)):
         raise InputError("field 'order' must be an integer")
-    if lat.ring is None:
-        raise InputError("an isometry payload needs a ring lattice")
     return Isometry(lat, matrix_from_json(lat.ring, field(data, "matrix"), lat.rank), order=order)
 
 

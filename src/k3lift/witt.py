@@ -9,6 +9,7 @@ reduction mod p is just a change of context.
 
 from __future__ import annotations
 
+import operator
 from math import gcd
 
 from .constraints import is_prime, multiplicative_order, prime_factors
@@ -21,6 +22,17 @@ from .errors import (
     NotTame,
     ValuationViolation,
 )
+
+
+def _exact_int(c) -> int:
+    """c as an int through operator.index; a bool, float or string is refused."""
+    if not isinstance(c, bool):
+        try:
+            return operator.index(c)
+        except TypeError:
+            pass
+    raise InputError("a scalar must be an integer or a coefficient array")
+
 
 # ---------------------------------------------------------------------------
 # small F_p[x] helpers used only for modulus generation
@@ -207,15 +219,17 @@ class RingContext:
     # -- constructors ------------------------------------------------------
 
     def scalar(self, coeffs) -> "PadicScalar":
-        """Coerce an int, an iterable of ints, or a PadicScalar of this context."""
+        """Coerce an integer, a list or tuple of integers, or a PadicScalar
+        of this context; any other coefficient raises InputError."""
         if isinstance(coeffs, PadicScalar):
             if coeffs.ctx != self:
                 raise ContextMismatch(f"{coeffs.ctx!r} vs {self!r}")
             return coeffs
-        if isinstance(coeffs, int):
-            c = [coeffs % self.pn] + [0] * (self.m - 1)
-            return PadicScalar(self, tuple(c))
-        coeffs = [int(c) % self.pn for c in coeffs]
+        if type(coeffs) is int:  # exact type: a bool takes the checked path
+            return PadicScalar(self, (coeffs % self.pn,) + (0,) * (self.m - 1))
+        if not isinstance(coeffs, (list, tuple)):
+            coeffs = [coeffs]
+        coeffs = [(c if type(c) is int else _exact_int(c)) % self.pn for c in coeffs]
         if len(coeffs) > self.m:
             raise InputError(f"scalar needs at most {self.m} coefficients")
         coeffs += [0] * (self.m - len(coeffs))
@@ -571,7 +585,6 @@ class PadicScalar:
         if not self.is_unit():
             raise NonUnit(f"{self!r} has positive valuation")
         ctx = self.ctx
-        res = ctx.residue_context()
         rbar = ctx.reduce(self) if ctx.n > 1 else self
         b = ctx.lift(rbar ** (ctx.q - 2)) if ctx.q > 2 else ctx.one()
         # each step doubles the number of correct digits

@@ -377,20 +377,48 @@ def test_verify_malformed_payload_exit_1(payload, missing):
     assert proc.stdout == b""
 
 
+def _period_complete_payload():
+    return {
+        "frame": {"ring": C53.to_json(), "gram": [[0, 0, 1], [0, 2, 0], [1, 0, 0]]},
+        "coordinates": [5],
+    }
+
+
+_PROBE_BASES = {
+    None: lambda: (["verify"], _nonsymplectic_cert().to_json()),
+    "ss-symplectic": lambda: (["lift-search", "--mode", "ss-symplectic"], _symplectic_payload()),
+    "finite-height": lambda: (["lift-search", "--mode", "finite-height"], _finite_height_payload()),
+    "period-complete": lambda: (["period-complete"], _period_complete_payload()),
+    "phi-map": lambda: (["phi-map"], {"connection": _connection_payload(), "point": [5]}),
+}
+
+_SCALAR_MESSAGE = "a scalar must be an integer or a coefficient array"
+
+
 @pytest.mark.parametrize(
     "mode, key, value, message",
     [
         (None, "gram", "abc", "a matrix must be a nonempty list"),
         (None, "transcript", 5, "field 'transcript' must be a list of claim objects"),
         ("ss-symplectic", "ample", "x", "a vector must be a list of scalars"),
+        # a non-integer coefficient is refused, never truncated into another Gram
+        ("period-complete", "frame.gram", [[0, 0, 1], [0, [1.9], 0], [1, 0, [0.7]]], _SCALAR_MESSAGE),
+        ("phi-map", "connection.frame.gram", [[0, 0, 1], [0, 2, 0], [True, 0, 0]], _SCALAR_MESSAGE),
+        ("finite-height", "decomposition.gram", [[0, "1"], [[1.7], 0]], _SCALAR_MESSAGE),
+        ("period-complete", "frame.gram", 5, "a matrix must be a nonempty list"),
+        ("period-complete", "frame.gram", [["x"]], _SCALAR_MESSAGE),
+        ("finite-height", "decomposition.low", 5, "field 'low' must be a list of vectors"),
+        ("finite-height", "decomposition.high", ["x"], "a vector must be a list of scalars"),
+        ("finite-height", "decomposition.frobenius", "q", "a matrix must be a nonempty list"),
     ],
 )
 def test_wrong_typed_field_exit_1(mode, key, value, message):
-    if mode is None:
-        args, payload = ["verify"], _nonsymplectic_cert().to_json()
-    else:
-        args, payload = ["lift-search", "--mode", mode], _symplectic_payload()
-    payload[key] = value
+    args, payload = _PROBE_BASES[mode]()
+    *parents, last = key.split(".")
+    target = payload
+    for name in parents:
+        target = target[name]
+    target[last] = value
     proc = run_cli(args, payload)
     assert proc.returncode == 1
     stderr = proc.stderr.decode()
@@ -398,6 +426,17 @@ def test_wrong_typed_field_exit_1(mode, key, value, message):
     assert stderr.count("\n") == 1
     assert json.loads(stderr) == {"code": "InputError", "message": message}
     assert proc.stdout == b""
+
+
+def test_lift_search_flat_decomposition_gram():
+    # a flat m = 1 Gram of plain ints is read row-major with the square-root rank
+    nested = _finite_height_payload()
+    flat = _finite_height_payload()
+    flat["decomposition"]["gram"] = [0, 1, 1, 0]
+    first = run_cli(["lift-search", "--mode", "finite-height"], nested)
+    second = run_cli(["lift-search", "--mode", "finite-height"], flat)
+    assert first.returncode == second.returncode == 0
+    assert second.stdout == first.stdout
 
 
 # -- transport-level behaviors ------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from k3lift import (
     DiscriminantGroup,
     InputError,
+    IntLattice,
     QuadLattice,
     RingContext,
     bareiss_determinant,
@@ -54,12 +55,12 @@ def test_unknown_standard_lattice():
 
 def test_discriminant_groups():
     assert standard_lattice("E8").discriminant_group().is_trivial
-    d5 = QuadLattice(None, [[5, 0], [0, 5]]).discriminant_group()
+    d5 = IntLattice([[5, 0], [0, 5]]).discriminant_group()
     assert d5.invariants == (5, 5)
     assert d5.order == 25
     u3 = standard_lattice("U")
     for _ in range(4):
-        u3 = u3.direct_sum(QuadLattice(None, [[3]], even=False))
+        u3 = u3.direct_sum(IntLattice([[3]]))
     d3 = u3.discriminant_group()
     assert d3.invariants == (3, 3, 3, 3)
     assert d3.artin_invariant(3) == 2
@@ -134,7 +135,20 @@ def test_local_lattice_change_ring():
 
 def test_gram_must_be_symmetric():
     with pytest.raises(InputError):
-        QuadLattice(None, [[0, 1], [2, 0]])
+        IntLattice([[0, 1], [2, 0]])
+
+
+def test_lattice_constructors_are_typed():
+    ctx = RingContext(5, 2, 1)
+    for ring, gram in ((None, [[0, 1], [1, 0]]), (ctx, 5), (ctx, [0, 1, 1, 0])):
+        with pytest.raises(InputError):
+            QuadLattice(ring, gram)
+    with pytest.raises(InputError):
+        IntLattice([[0, 1.0], [1.0, 0]])
+    assert not IntLattice([[1]]).even
+    assert IntLattice(np.array([[2, 1], [1, 2]])).to_json() == {
+        "ring": "Z", "rank": 2, "gram": [[2, 1], [1, 2]]
+    }
 
 
 def test_smith_normal_form_properties():

@@ -63,11 +63,15 @@ def test_vector_and_matrix_from_json():
     assert v == RingVec.from_entries(C53, [1, 2, 3])
     m = matrix_from_json(C53, [[1, 2], [3, 4]])
     assert m == RingMat.from_rows(C53, [[1, 2], [3, 4]])
-    # flat row-major form needs the rank
+    # flat row-major form: plain ints of square length, or a known rank
+    assert matrix_from_json(C53, [1, 2, 3, 4]) == m
     m2 = matrix_from_json(C53, [1, 2, 3, 4], rank=2)
     assert m2 == m
     with pytest.raises(InputError):
         matrix_from_json(C53, [1, 2, 3], rank=2)
+    for flat in ([1, 2, 3], [1, 2, 3, True]):
+        with pytest.raises(InputError):
+            matrix_from_json(C53, flat)
 
 
 def test_lattice_from_json_variants():
@@ -79,6 +83,9 @@ def test_lattice_from_json_variants():
     assert back2 == lat
     with pytest.raises(InputError):
         lattice_from_json([[0, 1], [1, 0]])
+    # Z lattices are not payloads: every command works over a ring context
+    with pytest.raises(InputError):
+        lattice_from_json({"ring": "Z", "gram": [[0, 1], [1, 0]]})
 
 
 def test_isometry_from_json():

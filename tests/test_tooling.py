@@ -1,5 +1,5 @@
-"""Repository-level checks: no assert statements in the package, and the
-benchmark harness runs end to end."""
+"""Repository-level checks: no assert statements and no float constants in
+the package, and the benchmark harness runs end to end."""
 
 import ast
 import json
@@ -11,13 +11,24 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "k3lift"
 
 
-def test_package_has_no_assert_statements():
-    # python -O strips asserts, so a postcondition must raise a typed error
+def _package_nodes(match):
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
-    assert found == []
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if match(node)]
+    return found
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips asserts, so a postcondition must raise a typed error
+    assert _package_nodes(lambda node: isinstance(node, ast.Assert)) == []
+
+
+def test_package_has_no_float_constants():
+    # every value is an exact integer; a float literal is a rounding path
+    assert _package_nodes(
+        lambda node: isinstance(node, ast.Constant) and isinstance(node.value, float)
+    ) == []
 
 
 def test_benchmark_harness_smoke():

@@ -1,11 +1,13 @@
 """Scalar ring: frozen oracle values and exhaustive small-field properties."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from k3lift import (
     ContextMismatch,
+    InputError,
     InsufficientResidueField,
     NonUnit,
     NotTame,
@@ -165,6 +167,14 @@ def test_scalar_json_round_trip():
     a = C322.scalar([7, 4])
     assert a.to_json() == [7, 4]
     assert C322.scalar(a.to_json()) == a
+
+
+def test_scalar_coercion_is_exact():
+    assert C322.scalar(np.int64(7)) == C322.scalar(7)
+    assert C322.scalar((7, np.int64(4))) == C322.scalar([7, 4])
+    for bad in ("1", True, 1.0, [1.9], [True], [1, "2"], None):
+        with pytest.raises(InputError):
+            C322.scalar(bad)
 
 
 def test_context_json_round_trip():
