@@ -20,7 +20,7 @@ import argparse
 import sys
 from random import Random
 
-from .errors import InputError, K3LiftError, PreconditionError, field, int_field
+from .errors import InputError, K3LiftError, PreconditionError, field, int_field, list_field
 from .witt import RingContext
 from . import constraints as gates
 from .hensel import isotropic_combination
@@ -158,7 +158,7 @@ def _cmd_period_complete(args, ctx):
         coords = random_period_coordinates(rng, frame)
     else:
         frame = frame_from_json(field(data, "frame"), ctx)
-        coords = [scalar_from_json(frame.ctx, c) for c in field(data, "coordinates")]
+        coords = [scalar_from_json(frame.ctx, c) for c in list_field(data, "coordinates")]
     line = complete_period_line(frame, coords)
     out = line.to_json()
     out["conditions"] = check_conditions(line)
@@ -212,8 +212,8 @@ def _cmd_lift_search(args, ctx):
         sd = SlopeDecomposition.from_json(field(data, "decomposition"), ctx)
         matrix = matrix_from_json(sd.ctx, field(data, "matrix"), sd.lattice.rank)
         hodge = vector_from_json(sd.ctx.residue_context(), field(data, "hodge_line"))
-        others = data.get("others")
-        if others is not None:
+        if data.get("others") is not None:
+            others = list_field(data, "others")
             mats = [matrix_from_json(sd.ctx, mj, sd.lattice.rank) for mj in others]
             cert, reports = universal_line(sd, matrix, order, hodge, mats)
             out = cert.to_json()

@@ -4,8 +4,9 @@ Two families matter to callers.  ``InputError`` means the data itself is
 malformed (bad shapes, mismatched rings, unparseable payloads) and maps to
 CLI exit code 1.  ``PreconditionError`` means the data is well formed but a
 mathematical precondition fails (wild order, non-unit pivot, no convergence)
-and maps to CLI exit code 2.  ``field`` and ``int_field`` read required
-payload fields, so every loader reports a missing key as ``InputError``.
+and maps to CLI exit code 2.  ``field``, ``int_field`` and ``list_field``
+read required payload fields, so every loader reports a missing or
+wrong-typed key as ``InputError``.
 """
 
 from __future__ import annotations
@@ -132,4 +133,12 @@ def int_field(data, key: str) -> int:
     value = field(data, key)
     if not isinstance(value, int) or isinstance(value, bool):
         raise InputError(f"field '{key}' must be an integer")
+    return value
+
+
+def list_field(data, key: str) -> list:
+    """field(data, key), which must be a list."""
+    value = field(data, key)
+    if not isinstance(value, list):
+        raise InputError(f"field '{key}' must be a list")
     return value

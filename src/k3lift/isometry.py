@@ -24,7 +24,7 @@ from .errors import (
     OrderViolation,
     ProjectionCollapse,
 )
-from .lattice import IntLattice, QuadLattice
+from .lattice import IntLattice, QuadLattice, _int_array
 from .linalg import RingMat, RingVec, independent_columns, is_unimodular
 from .witt import PadicScalar, RingContext
 
@@ -78,7 +78,7 @@ class Isometry:
         A^T G A = G is checked over Z, so the image is an isometry in every
         ring context.
         """
-        a = np.array([[int(x) for x in row] for row in rows], dtype=object)
+        a = _int_array(rows)
         if a.shape != (lattice.rank, lattice.rank):
             raise DimensionMismatch("matrix shape must match lattice rank")
         if not (a.T @ lattice.gram @ a == lattice.gram).all():
@@ -208,9 +208,6 @@ class EigenComponent:
             return None
         return RingMat.from_columns(self.zeta.ctx, self.basis)
 
-    def contains(self, v: RingVec) -> bool:
-        return (self.projector @ v) == v
-
     def to_json(self) -> dict:
         return {
             "eigenvalue": self.zeta.to_json(),
@@ -245,12 +242,6 @@ class EigenSplit:
 
     def component(self, index: int) -> EigenComponent:
         return self.components[index % self.order]
-
-    def component_for(self, zeta: PadicScalar) -> EigenComponent:
-        for comp in self.components:
-            if comp.zeta == zeta:
-                return comp
-        raise InputError("scalar is not among the N-th roots of this split")
 
     def ranks(self) -> list[int]:
         return [c.rank for c in self.components]
@@ -344,13 +335,17 @@ def eigen_split(isometry: Isometry, order: int) -> EigenSplit:
         raise OrderViolation(f"A^{order} is not the identity")
     roots = ctx.nth_roots_of_unity(order)
     inv_n = ctx.scalar(order).inverse()
+    # all N projectors in one product: [zeta^(-ik) / N]_(i,k) times the
+    # N x r^2 stack whose row k is A^k; zeta^(-ik) = roots[(-i*k) mod N]
+    weights = [(z * inv_n).coeffs for z in roots]
+    chars = np.array(
+        [[weights[(-i * k) % order] for k in range(order)] for i in range(order)], dtype=object
+    ).transpose(2, 0, 1)
+    stack = np.concatenate([pw.arr.reshape(ctx.m, 1, r * r) for pw in powers], axis=1)
+    blocks = (RingMat(ctx, chars) @ RingMat(ctx, stack)).arr.reshape(ctx.m, order, r, r)
     components = []
     for i in range(order):
-        acc = RingMat.zeros(ctx, r, r)
-        for k in range(order):
-            # zeta^(-ik) = roots[(-i*k) mod order]
-            acc = acc + powers[k].scale(roots[(-i * k) % order])
-        proj = acc.scale(inv_n)
+        proj = RingMat(ctx, blocks[:, i])
         cols = independent_columns(proj)
         basis = [proj.column(j) for j in cols]
         components.append(EigenComponent(roots[i], i, proj, basis))

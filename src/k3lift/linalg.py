@@ -9,11 +9,15 @@ m·k·(p^n-1)^2 < 2^63 for the call's inner dimension k (k = 1 for a scalar
 product), which no partial sum can then overflow, and in Python ints
 otherwise; either way they return object arrays.
 
-Gaussian elimination only ever divides by units.  Over the residue field
-(precision 1) every nonzero scalar is a unit, so the same sweep computes
-ranks and kernels there.  At precision n a row with no unit entry is a
-"defect" row: all of its entries have positive valuation, and a nonzero
-defect row means the answer depends on digits beyond the working precision.
+Gaussian elimination only ever divides by units.  Every product in one
+elimination sweep has inner dimension 1, so when m·(p^n-1)^2 < 2^63 the
+sweep casts its work array to int64 once, runs every pivot step on that
+copy, and writes the result back as Python ints at the end.  Over the
+residue field (precision 1) every nonzero scalar is a unit, so the same
+sweep computes ranks and kernels there.  At precision n a row with no unit
+entry is a "defect" row: all of its entries have positive valuation, and a
+nonzero defect row means the answer depends on digits beyond the working
+precision.
 """
 
 from __future__ import annotations
@@ -48,8 +52,8 @@ def _int64_operands(ctx: RingContext, k: int, *arrays: np.ndarray):
 
 
 def _poly_reduce(ctx: RingContext, conv: np.ndarray) -> np.ndarray:
-    """Reduce a degree-indexed array (2m-1, ...) modulo (modulus, p^n);
-    the result has object dtype."""
+    """Reduce a degree-indexed array (2m-1, ...) modulo (modulus, p^n),
+    keeping its dtype."""
     m, pn = ctx.m, ctx.pn
     if conv.dtype != object:
         conv = conv % pn
@@ -60,18 +64,37 @@ def _poly_reduce(ctx: RingContext, conv: np.ndarray) -> np.ndarray:
         for j in range(m):
             if red[j]:
                 out[j] = out[j] + red[j] * blk
-    return (out % pn).astype(object, copy=False)
+    return out % pn
 
 
-def _mul_arrays(ctx: RingContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of (m, r, k) and (m, k, c) coefficient arrays."""
+def _mul_native(ctx: RingContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of (m, r, k) and (m, k, c) coefficient arrays in the operands'
+    own dtype, which the caller has chosen so that no sum overflows."""
     m = ctx.m
-    a, b = _int64_operands(ctx, a.shape[2], a, b)
     conv = np.zeros((2 * m - 1,) + (a.shape[1], b.shape[2]), dtype=a.dtype)
     for i in range(m):
         for j in range(m):
             conv[i + j] = conv[i + j] + np.dot(a[i], b[j])
     return _poly_reduce(ctx, conv)
+
+
+def _scal_native(ctx: RingContext, s: tuple[int, ...], a: np.ndarray) -> np.ndarray:
+    """A reduced coefficient tuple times a degree-indexed array (m, ...) in
+    the array's own dtype, which the caller has chosen so that no sum
+    overflows."""
+    m = ctx.m
+    conv = np.zeros((2 * m - 1,) + a.shape[1:], dtype=a.dtype)
+    for i in range(m):
+        if s[i]:
+            for j in range(m):
+                conv[i + j] = conv[i + j] + s[i] * a[j]
+    return _poly_reduce(ctx, conv)
+
+
+def _mul_arrays(ctx: RingContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of (m, r, k) and (m, k, c) coefficient arrays."""
+    a, b = _int64_operands(ctx, a.shape[2], a, b)
+    return _mul_native(ctx, a, b).astype(object, copy=False)
 
 
 def _matvec_arrays(ctx: RingContext, a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -82,19 +105,14 @@ def _matvec_arrays(ctx: RingContext, a: np.ndarray, v: np.ndarray) -> np.ndarray
     for i in range(m):
         for j in range(m):
             conv[i + j] = conv[i + j] + np.dot(a[i], v[j])
-    return _poly_reduce(ctx, conv)
+    return _poly_reduce(ctx, conv).astype(object, copy=False)
 
 
 def _scal_arrays(ctx: RingContext, s: tuple[int, ...], a: np.ndarray) -> np.ndarray:
     """Scalar (coefficient tuple) times a degree-indexed array (m, ...)."""
-    m = ctx.m
-    s, a = _int64_operands(ctx, 1, np.array(s, dtype=object), a)
-    conv = np.zeros((2 * m - 1,) + a.shape[1:], dtype=a.dtype)
-    for i in range(m):
-        if s[i]:
-            for j in range(m):
-                conv[i + j] = conv[i + j] + s[i] * a[j]
-    return _poly_reduce(ctx, conv)
+    (a,) = _int64_operands(ctx, 1, a)
+    s = tuple(int(c) % ctx.pn for c in s)
+    return _scal_native(ctx, s, a).astype(object, copy=False)
 
 
 def _frobenius_array(ctx: RingContext, a: np.ndarray) -> np.ndarray:
@@ -390,28 +408,33 @@ def _rref_unit(ctx: RingContext, work: np.ndarray) -> tuple[list[int], int]:
     Returns (pivot column list, number of pivot rows).  Rows beyond the pivot
     count end with every entry of positive valuation.  Each pivot clears its
     column with one rank-1 update, work - f (x) pivot row, where f is the
-    column with the pivot row's own factor zeroed.
+    column with the pivot row's own factor zeroed.  Every product in the
+    sweep has inner dimension 1, so when m·(p^n-1)^2 < 2^63 the whole sweep
+    runs on one int64 copy of work, written back once at the end.
     """
     _, r, c = work.shape
     p, pn = ctx.p, ctx.pn
+    (w,) = _int64_operands(ctx, 1, work)
     pivots: list[int] = []
     cur = 0
     for col in range(c):
-        units = np.flatnonzero((work[:, cur:, col] % p != 0).any(axis=0))
+        units = np.flatnonzero((w[:, cur:, col] % p != 0).any(axis=0))
         if not units.size:
             continue
         piv = cur + int(units[0])
         if piv != cur:
-            work[:, [cur, piv], :] = work[:, [piv, cur], :]
-        inv = _entry(ctx, work, (cur, col)).inverse().coeffs
-        work[:, cur, :] = _scal_arrays(ctx, inv, work[:, cur, :])
-        f = work[:, :, col].copy()
+            w[:, [cur, piv], :] = w[:, [piv, cur], :]
+        inv = _entry(ctx, w, (cur, col)).inverse().coeffs
+        w[:, cur, :] = _scal_native(ctx, inv, w[:, cur, :])
+        f = w[:, :, col].copy()
         f[:, cur] = 0
-        work[...] = (work - _mul_arrays(ctx, f[:, :, None], work[:, cur : cur + 1, :])) % pn
+        w[...] = (w - _mul_native(ctx, f[:, :, None], w[:, cur : cur + 1, :])) % pn
         pivots.append(col)
         cur += 1
         if cur == r:
             break
+    if w is not work:
+        work[...] = w
     return pivots, cur
 
 

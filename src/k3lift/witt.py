@@ -159,6 +159,7 @@ class RingContext:
         "_teich_unit_cache",
         "_root_cache",
         "_gamma_cache",
+        "_inverse_cache",
         "_generator",
     )
 
@@ -186,6 +187,7 @@ class RingContext:
         self._teich_unit_cache = {}
         self._root_cache = {}
         self._gamma_cache = {}
+        self._inverse_cache = {}
         self._generator = None
 
     # -- identity ----------------------------------------------------------
@@ -269,6 +271,9 @@ class RingContext:
         if ctx is None:
             modulus = tuple(c % self.p**n for c in self.modulus)
             ctx = self._derived[n] = RingContext(self.p, n, self.m, modulus)
+            if n > 1:
+                # the modulus mod p, hence the residue field, is the same at every precision
+                ctx._derived[1] = self.residue_context()
         return ctx
 
     def reduce(self, a: "PadicScalar") -> "PadicScalar":
@@ -305,6 +310,15 @@ class RingContext:
                 for j in range(m):
                     out[j] += ck * red[j]
         return tuple(c % pn for c in out)
+
+    def _residue_inverse(self, key: tuple) -> tuple:
+        """Inverse of the nonzero residue-field element with coefficients
+        key, in this context at precision 1; memoized, so the cache holds at
+        most q - 1 entries."""
+        inv = self._inverse_cache.get(key)
+        if inv is None:
+            inv = self._inverse_cache[key] = (PadicScalar(self, key) ** (self.q - 2)).coeffs
+        return inv
 
     def teichmuller(self, r) -> "PadicScalar":
         """Multiplicative lift of a residue-field element.
@@ -581,20 +595,26 @@ class PadicScalar:
         return v
 
     def inverse(self) -> "PadicScalar":
-        """Newton inversion from the residue-field inverse."""
+        """Inverse of a unit: pow mod p^n when m = 1, otherwise Newton on
+        coefficient tuples from the residue-field inverse, which the residue
+        context caches."""
         if not self.is_unit():
             raise NonUnit(f"{self!r} has positive valuation")
         ctx = self.ctx
-        rbar = ctx.reduce(self) if ctx.n > 1 else self
-        b = ctx.lift(rbar ** (ctx.q - 2)) if ctx.q > 2 else ctx.one()
-        # each step doubles the number of correct digits
-        steps = max(1, (ctx.n - 1).bit_length() + 1)
-        two = ctx.scalar(2)
-        for _ in range(steps):
-            b = b * (two - self * b)
-        if self * b != ctx.one():
+        a, pn = self.coeffs, ctx.pn
+        if ctx.m == 1:
+            b, steps = (pow(a[0], -1, pn),), 0
+        else:
+            b = ctx.residue_context()._residue_inverse(tuple(c % ctx.p for c in a))
+            # each step doubles the number of correct digits
+            steps = (ctx.n - 1).bit_length()
+            mul = ctx._mul_coeffs
+            for _ in range(steps):
+                ab = mul(a, b)
+                b = mul(b, ((2 - ab[0]) % pn,) + tuple(-c % pn for c in ab[1:]))
+        if ctx._mul_coeffs(a, b) != (1,) + (0,) * (ctx.m - 1):
             raise NoConvergence(f"Newton inversion not reached in {steps} steps")
-        return b
+        return PadicScalar(ctx, b)
 
     def exact_div_p(self, k: int = 1) -> "PadicScalar":
         """Divide the canonical representative by p^k.

@@ -410,6 +410,8 @@ _SCALAR_MESSAGE = "a scalar must be an integer or a coefficient array"
         ("finite-height", "decomposition.low", 5, "field 'low' must be a list of vectors"),
         ("finite-height", "decomposition.high", ["x"], "a vector must be a list of scalars"),
         ("finite-height", "decomposition.frobenius", "q", "a matrix must be a nonempty list"),
+        ("period-complete", "coordinates", 5, "field 'coordinates' must be a list"),
+        ("finite-height", "others", 5, "field 'others' must be a list"),
     ],
 )
 def test_wrong_typed_field_exit_1(mode, key, value, message):

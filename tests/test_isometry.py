@@ -1,5 +1,7 @@
 """Isometries and tame eigenspace splitting: frozen worked examples."""
 
+import random
+
 import pytest
 
 from k3lift import (
@@ -15,8 +17,10 @@ from k3lift import (
     centered_coefficients,
     eigen_split,
     lift_eigenvector,
+    independent_columns,
     standard_lattice,
 )
+from k3lift.samples import random_tame_isometry
 
 C52 = RingContext(5, 2, 1)
 C72 = RingContext(7, 2, 1)
@@ -134,6 +138,53 @@ def test_eigen_split_rejects_wrong_order():
         eigen_split(Isometry(_u(C52), [[0, 1], [1, 0]]), 3)
 
 
+def _double_loop_projectors(iso, order):
+    """The projector family before the single contraction: one scale and one
+    add per (i, k).  Kept as an oracle for eigen_split."""
+    ctx, r = iso.lattice.ring, iso.lattice.rank
+    powers = [RingMat.identity(ctx, r)]
+    for _ in range(order - 1):
+        powers.append(powers[-1] @ iso.matrix)
+    roots = ctx.nth_roots_of_unity(order)
+    inv_n = ctx.scalar(order).inverse()
+    projectors = []
+    for i in range(order):
+        acc = RingMat.zeros(ctx, r, r)
+        for k in range(order):
+            acc = acc + powers[k].scale(roots[(-i * k) % order])
+        projectors.append(acc.scale(inv_n))
+    return projectors
+
+
+# N | q - 1 in each context; (5, 14, 2) puts the contraction on the object path
+@pytest.mark.parametrize(
+    "spec, order",
+    [((13, 2, 1), 12), ((5, 2, 2), 12), ((73, 2, 1), 24), ((5, 2, 2), 24),
+     ((43, 2, 1), 42), ((13, 2, 2), 42), ((67, 2, 1), 66), ((23, 2, 2), 66),
+     ((5, 14, 2), 12)],
+)
+def test_eigen_split_matches_double_loop_at_rank_22(spec, order, monkeypatch):
+    ctx = RingContext(*spec)
+    iso = random_tame_isometry(random.Random(order), ctx, 22, order)
+    products = []
+    matmul = RingMat.__matmul__
+
+    def counted(a, b):
+        products.append(isinstance(b, RingMat))
+        return matmul(a, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(RingMat, "__matmul__", counted)
+        split = eigen_split(iso, order)
+    # order - 1 powers, the A^N = 1 check and one contraction
+    assert products == [True] * (order + 1)
+    assert sum(split.ranks()) == 22
+    for comp, proj in zip(split.components, _double_loop_projectors(iso, order), strict=True):
+        assert comp.projector == proj
+        basis = [proj.column(j) for j in independent_columns(proj)]
+        assert [b.to_json() for b in comp.basis] == [b.to_json() for b in basis]
+
+
 def test_char_poly_matches_eigen_ranks():
     # char poly = product over roots of (t - zeta)^rank(component)
     lat = _diag_lattice(C52, [1, -1, 1])
@@ -234,6 +285,9 @@ def test_integer_lattice_isometry():
         # the second preserves the pairing mod 5^2 but not over Z
         with pytest.raises(InputError):
             Isometry.from_integer(u, rows, C52)
+    # floats and booleans are refused, never truncated into the swap
+    with pytest.raises(InputError):
+        Isometry.from_integer(u, [[0, 1.9], [True, 0]], C52)
 
 
 def test_json_round_trip():

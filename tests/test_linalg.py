@@ -350,7 +350,37 @@ def _elimination_results(a, sing, defect, basis, inside, outside):
     ]
 
 
-@pytest.mark.parametrize("spec", [(5, 4, 2), (7, 6, 2), (5, 20, 2)])
+# whether the sweep runs in int64: m (p^n - 1)^2 < 2^63 holds for (3, 19, m)
+# with m <= 6 and fails for (3, 20, m)
+SWEEP_INT64 = {
+    (5, 4, 2): True,
+    (7, 6, 2): True,
+    (5, 20, 2): False,
+    (3, 19, 1): True,
+    (3, 19, 2): True,
+    (3, 19, 3): True,
+    (3, 20, 1): False,
+    (3, 20, 2): False,
+    (3, 20, 3): False,
+}
+
+
+def _sweep_dtypes(ctx, a, monkeypatch):
+    """The dtypes _rref_unit computes in while eliminating [a | a]."""
+    seen = set()
+    native = linalg._mul_native
+
+    def spy(ctx, x, y):
+        seen.add(x.dtype)
+        return native(ctx, x, y)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_mul_native", spy)
+        linalg._rref_unit(ctx, np.concatenate([a.arr, a.arr], axis=2))
+    return seen
+
+
+@pytest.mark.parametrize("spec", list(SWEEP_INT64))
 def test_elimination_matches_per_row_sweep_at_rank_22(spec, monkeypatch):
     ctx = RingContext(*spec)
     rng = random.Random(sum(spec))
@@ -364,14 +394,22 @@ def test_elimination_matches_per_row_sweep_at_rank_22(spec, monkeypatch):
             d.arr[:, i, i] = ctx.scalar(e).coeffs
         return d
 
+    def invertible(size):
+        # over F_3 a random square matrix is singular about 44% of the time
+        while True:
+            mat = dense(size, size)
+            if linalg.is_unimodular(mat):
+                return mat
+
     a = dense(22, 22)
-    left, right = dense(22, 22), dense(22, 22)
+    left, right = invertible(22), invertible(22)
     sing = left @ diag([1] * 19 + [0] * 3) @ right  # kernel of rank 3, determined
     defect = left @ diag([1] * 20 + [ctx.p, 0]) @ right  # kernel not determined
     basis = [a.column(j) for j in range(6)]
     inside = basis[0].scale(random_scalar(rng, ctx)) + basis[5].scale(random_scalar(rng, ctx))
     outside = dense(22, 1).column(0)
 
+    assert _sweep_dtypes(ctx, a, monkeypatch) == {np.dtype(np.int64 if SWEEP_INT64[spec] else object)}
     new = _elimination_results(a, sing, defect, basis, inside, outside)
     monkeypatch.setattr(linalg, "_rref_unit", _per_row_rref)
     old = _elimination_results(a, sing, defect, basis, inside, outside)

@@ -1,5 +1,7 @@
 """Scalar ring: frozen oracle values and exhaustive small-field properties."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from k3lift import (
     RingContext,
     ValuationViolation,
 )
+from k3lift.samples import random_scalar, random_unit
 
 C531 = RingContext(5, 3, 1)
 C721 = RingContext(7, 2, 1)
@@ -142,6 +145,43 @@ def test_inverses_exhaustive(ctx):
         assert inv * a == ctx.one()
         seen += 1
     assert seen > 0
+
+
+def _power_newton_inverse(a):
+    """The inversion before the residue cache: rbar^(q-2) in the residue
+    field, then Newton steps on PadicScalar objects.  Kept as an oracle for
+    PadicScalar.inverse."""
+    ctx = a.ctx
+    rbar = ctx.reduce(a) if ctx.n > 1 else a
+    b = ctx.lift(rbar ** (ctx.q - 2))
+    two = ctx.scalar(2)
+    for _ in range(max(1, (ctx.n - 1).bit_length() + 1)):
+        b = b * (two - a * b)
+    return b
+
+
+@pytest.mark.parametrize("spec", [(5, 1, 1), (7, 1, 2), (3, 12, 4), (5, 20, 2), (3, 19, 3), (101, 6, 1)])
+def test_inverse_matches_power_newton(spec):
+    ctx = RingContext(*spec)
+    rng = random.Random(sum(spec))
+    units = 0
+    for _ in range(60):
+        a = random_scalar(rng, ctx)
+        if not a.is_unit():
+            with pytest.raises(NonUnit):
+                a.inverse()
+            continue
+        assert a.inverse() == _power_newton_inverse(a)
+        units += 1
+    assert units >= 40
+    if ctx.m > 1:
+        # every precision of the extension shares one residue field and its cache
+        res = ctx.residue_context()
+        assert 0 < len(res._inverse_cache) <= ctx.q - 1
+        assert ctx.with_precision(ctx.n + 1).residue_context() is res
+    for s in (ctx.zero(), ctx.scalar(ctx.p), ctx.scalar(ctx.p) * random_unit(rng, ctx)):
+        with pytest.raises(NonUnit):
+            s.inverse()
 
 
 def test_teichmuller_multiplicative_order_exhaustive():
