@@ -325,10 +325,10 @@ class QuadLattice:
         if not isinstance(other, QuadLattice) or other.ring != self.ring:
             raise ContextMismatch("ring contexts differ")
         r1, r2 = self.rank, other.rank
-        arr = np.zeros((self.ring.m, r1 + r2, r1 + r2), dtype=object)
-        arr[:, :r1, :r1] = self.gram.arr
-        arr[:, r1:, r1:] = other.gram.arr
-        return QuadLattice(self.ring, RingMat(self.ring, arr))
+        g = RingMat.zeros(self.ring, r1 + r2, r1 + r2)
+        g.arr[:, :r1, :r1] = self.gram.arr
+        g.arr[:, r1:, r1:] = other.gram.arr
+        return QuadLattice(self.ring, g)
 
     def orthogonal_complement(self, vectors) -> list[RingVec]:
         """Basis of {x : x . s = 0 for all s in vectors}.

@@ -1,23 +1,30 @@
 """Exact matrices and vectors over a truncated Witt ring.
 
-A matrix over W(F_{p^m})/p^n is stored as a numpy object array of shape
+A matrix over W(F_{p^m})/p^n is stored as a numpy array of shape
 (m, rows, cols): slice d holds the degree-d coefficient matrix of the
-polynomial representative.  All entries are Python ints reduced mod p^n, so
-every operation is exact; numpy supplies the shape bookkeeping and the
-integer matrix products.  The product kernels compute in int64 when
+polynomial representative, with every entry reduced mod p^n.  Each context
+has one storage dtype (storage_dtype): int64 when m·(p^n-1)^2 < 2^63, so
+that any entry, any sum of two entries and any product with inner
+dimension 1 fits in a machine word, and object (Python ints) otherwise.
+The RingVec/RingMat constructor casts every array to that dtype, so every
+operation is exact and no array holds a mixture.
+
+The product kernels compute directly on the stored arrays when
 m·k·(p^n-1)^2 < 2^63 for the call's inner dimension k (k = 1 for a scalar
-product), which no partial sum can then overflow, and in Python ints
-otherwise; either way they return object arrays.
+product), which no partial sum can then overflow.  Otherwise they cast
+their operands to Python ints for that one call and cast the reduced
+result back to the storage dtype.  Moving an array to another context
+(lift_to, reduce_mod_p) widens it to Python ints before the reduction when
+the target stores Python ints, and narrows it after.  Entries leave as
+Python ints: entry(), entries() and to_json() never expose numpy scalars.
 
 Gaussian elimination only ever divides by units.  Every product in one
-elimination sweep has inner dimension 1, so when m·(p^n-1)^2 < 2^63 the
-sweep casts its work array to int64 once, runs every pivot step on that
-copy, and writes the result back as Python ints at the end.  Over the
-residue field (precision 1) every nonzero scalar is a unit, so the same
-sweep computes ranks and kernels there.  At precision n a row with no unit
-entry is a "defect" row: all of its entries have positive valuation, and a
-nonzero defect row means the answer depends on digits beyond the working
-precision.
+elimination sweep has inner dimension 1, so the sweep runs in the storage
+dtype.  Over the residue field (precision 1) every nonzero scalar is a
+unit, so the same sweep computes ranks and kernels there.  At precision n
+a row with no unit entry is a "defect" row: all of its entries have
+positive valuation, and a nonzero defect row means the answer depends on
+digits beyond the working precision.
 """
 
 from __future__ import annotations
@@ -33,22 +40,41 @@ from .errors import (
 )
 from .witt import PadicScalar, RingContext
 
+_INT64 = np.dtype(np.int64)
+_OBJECT = np.dtype(object)
+
 # ---------------------------------------------------------------------------
 # coefficient-array kernels
 
 
-def _int64_operands(ctx: RingContext, k: int, *arrays: np.ndarray):
-    """The operands of a product with inner dimension k (k = 1 for a scalar
-    product), cast to int64 when m·max(k, 1)·(p^n-1)^2 < 2^63, else unchanged.
+def _kernel_dtype(ctx: RingContext, k: int) -> np.dtype:
+    """int64 when m·max(k, 1)·(p^n-1)^2 < 2^63, else object.
 
-    Under that bound every coefficient of the degree convolution, a sum of at
-    most m·k products of residues, fits in int64.  _poly_reduce reduces the
-    convolution mod p^n before the x^k table, so the table step sums at most
-    m - 1 products of residues plus one residue and fits too.
+    For a product with inner dimension k (k = 1 for a scalar product) every
+    coefficient of the degree convolution is a sum of at most m·k products
+    of residues, so under that bound it fits in int64.  _poly_reduce
+    reduces the convolution mod p^n before the x^k table, so the table step
+    sums at most m - 1 products of residues plus one residue and fits too.
     """
-    if ctx.m * max(k, 1) * (ctx.pn - 1) ** 2 < 2**63:
-        return tuple(x.astype(np.int64) % ctx.pn for x in arrays)
-    return arrays
+    return _INT64 if ctx.m * max(k, 1) * (ctx.pn - 1) ** 2 < 2**63 else _OBJECT
+
+
+def storage_dtype(ctx: RingContext) -> np.dtype:
+    """The dtype every RingVec/RingMat array of ctx is stored in: the
+    kernel dtype at inner dimension 1, computed once per context."""
+    dt = ctx._storage_dtype
+    if dt is None:
+        dt = ctx._storage_dtype = _kernel_dtype(ctx, 1)
+    return dt
+
+
+def _into(ctx: RingContext, arr: np.ndarray) -> np.ndarray:
+    """arr reduced mod p^n of ctx: widened to Python ints first when ctx
+    stores them (int64 % p^n fails for p^n >= 2^63); the constructor
+    narrows the reduced result otherwise."""
+    if storage_dtype(ctx) is _OBJECT:
+        arr = arr.astype(object, copy=False)
+    return arr % ctx.pn
 
 
 def _poly_reduce(ctx: RingContext, conv: np.ndarray) -> np.ndarray:
@@ -71,6 +97,8 @@ def _mul_native(ctx: RingContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product of (m, r, k) and (m, k, c) coefficient arrays in the operands'
     own dtype, which the caller has chosen so that no sum overflows."""
     m = ctx.m
+    if m == 1:
+        return np.dot(a[0], b[0])[None] % ctx.pn
     conv = np.zeros((2 * m - 1,) + (a.shape[1], b.shape[2]), dtype=a.dtype)
     for i in range(m):
         for j in range(m):
@@ -83,6 +111,8 @@ def _scal_native(ctx: RingContext, s: tuple[int, ...], a: np.ndarray) -> np.ndar
     the array's own dtype, which the caller has chosen so that no sum
     overflows."""
     m = ctx.m
+    if m == 1:
+        return (s[0] * a) % ctx.pn
     conv = np.zeros((2 * m - 1,) + a.shape[1:], dtype=a.dtype)
     for i in range(m):
         if s[i]:
@@ -92,27 +122,24 @@ def _scal_native(ctx: RingContext, s: tuple[int, ...], a: np.ndarray) -> np.ndar
 
 
 def _mul_arrays(ctx: RingContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of (m, r, k) and (m, k, c) coefficient arrays."""
-    a, b = _int64_operands(ctx, a.shape[2], a, b)
-    return _mul_native(ctx, a, b).astype(object, copy=False)
+    """Product of (m, r, k) and (m, k, c) coefficient arrays, returned in
+    the storage dtype."""
+    dt = _kernel_dtype(ctx, a.shape[2])
+    out = _mul_native(ctx, a.astype(dt, copy=False), b.astype(dt, copy=False))
+    return out.astype(storage_dtype(ctx), copy=False)
 
 
 def _matvec_arrays(ctx: RingContext, a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Product of (m, r, k) and (m, k) coefficient arrays."""
-    m = ctx.m
-    a, v = _int64_operands(ctx, a.shape[2], a, v)
-    conv = np.zeros((2 * m - 1, a.shape[1]), dtype=a.dtype)
-    for i in range(m):
-        for j in range(m):
-            conv[i + j] = conv[i + j] + np.dot(a[i], v[j])
-    return _poly_reduce(ctx, conv).astype(object, copy=False)
+    """Product of (m, r, k) and (m, k) coefficient arrays, returned in the
+    storage dtype."""
+    return _mul_arrays(ctx, a, v[:, :, None])[:, :, 0]
 
 
 def _scal_arrays(ctx: RingContext, s: tuple[int, ...], a: np.ndarray) -> np.ndarray:
-    """Scalar (coefficient tuple) times a degree-indexed array (m, ...)."""
-    (a,) = _int64_operands(ctx, 1, a)
+    """Scalar (coefficient tuple) times a degree-indexed array (m, ...) in
+    the storage dtype, which inner dimension 1 never overflows."""
     s = tuple(int(c) % ctx.pn for c in s)
-    return _scal_native(ctx, s, a).astype(object, copy=False)
+    return _scal_native(ctx, s, a)
 
 
 def _frobenius_array(ctx: RingContext, a: np.ndarray) -> np.ndarray:
@@ -137,28 +164,26 @@ def _entry(ctx: RingContext, arr: np.ndarray, index) -> PadicScalar:
 
 
 class RingVec:
-    """Vector over a ring context; thin wrapper on a (m, r) object array."""
+    """Vector over a ring context; thin wrapper on a (m, r) array of reduced
+    coefficients in the context's storage dtype."""
 
     __slots__ = ("ctx", "arr")
 
     def __init__(self, ctx: RingContext, arr: np.ndarray):
         self.ctx = ctx
-        self.arr = arr
+        self.arr = arr.astype(storage_dtype(ctx), copy=False)
 
     @classmethod
     def from_entries(cls, ctx: RingContext, entries) -> "RingVec":
         if not isinstance(entries, (list, tuple)):
             raise InputError("a vector must be a list of entries")
-        scalars = [ctx.scalar(e) for e in entries]
-        arr = np.zeros((ctx.m, len(scalars)), dtype=object)
-        for i, s in enumerate(scalars):
-            for d in range(ctx.m):
-                arr[d, i] = s.coeffs[d]
-        return cls(ctx, arr)
+        coeffs = [ctx.scalar(e).coeffs for e in entries]
+        arr = np.array(coeffs, dtype=storage_dtype(ctx)).reshape(len(coeffs), ctx.m)
+        return cls(ctx, np.ascontiguousarray(arr.T))
 
     @classmethod
     def zeros(cls, ctx: RingContext, r: int) -> "RingVec":
-        return cls(ctx, np.zeros((ctx.m, r), dtype=object))
+        return cls(ctx, np.zeros((ctx.m, r), dtype=storage_dtype(ctx)))
 
     @classmethod
     def basis_vector(cls, ctx: RingContext, r: int, i: int) -> "RingVec":
@@ -222,12 +247,12 @@ class RingVec:
 
     def reduce_mod_p(self) -> "RingVec":
         res = self.ctx.residue_context()
-        return RingVec(res, self.arr % self.ctx.p)
+        return RingVec(res, _into(res, self.arr))
 
     def lift_to(self, ctx: RingContext) -> "RingVec":
         if ctx.p != self.ctx.p or ctx.m != self.ctx.m:
             raise ContextMismatch("lift across incompatible contexts")
-        return RingVec(ctx, self.arr % ctx.pn)
+        return RingVec(ctx, _into(ctx, self.arr))
 
     def frobenius(self) -> "RingVec":
         return RingVec(self.ctx, _frobenius_array(self.ctx, self.arr))
@@ -237,13 +262,14 @@ class RingVec:
 
 
 class RingMat:
-    """Matrix over a ring context; wraps a (m, rows, cols) object array."""
+    """Matrix over a ring context; wraps a (m, rows, cols) array of reduced
+    coefficients in the context's storage dtype."""
 
     __slots__ = ("ctx", "arr")
 
     def __init__(self, ctx: RingContext, arr: np.ndarray):
         self.ctx = ctx
-        self.arr = arr
+        self.arr = arr.astype(storage_dtype(ctx), copy=False)
 
     @classmethod
     def from_rows(cls, ctx: RingContext, rows) -> "RingMat":
@@ -256,30 +282,26 @@ class RingMat:
         c = len(rows[0]) if r else 0
         if any(len(row) != c for row in rows):
             raise DimensionMismatch("ragged matrix rows")
-        arr = np.zeros((ctx.m, r, c), dtype=object)
-        for i, row in enumerate(rows):
-            for j, s in enumerate(row):
-                for d in range(ctx.m):
-                    arr[d, i, j] = s.coeffs[d]
-        return cls(ctx, arr)
+        coeffs = [[s.coeffs for s in row] for row in rows]
+        arr = np.array(coeffs, dtype=storage_dtype(ctx)).reshape(r, c, ctx.m)
+        return cls(ctx, np.ascontiguousarray(arr.transpose(2, 0, 1)))
 
     @classmethod
     def identity(cls, ctx: RingContext, r: int) -> "RingMat":
-        arr = np.zeros((ctx.m, r, r), dtype=object)
-        for i in range(r):
-            arr[0, i, i] = 1
+        arr = np.zeros((ctx.m, r, r), dtype=storage_dtype(ctx))
+        arr[0] = np.eye(r, dtype=arr.dtype)
         return cls(ctx, arr)
 
     @classmethod
     def zeros(cls, ctx: RingContext, r: int, c: int) -> "RingMat":
-        return cls(ctx, np.zeros((ctx.m, r, c), dtype=object))
+        return cls(ctx, np.zeros((ctx.m, r, c), dtype=storage_dtype(ctx)))
 
     @classmethod
     def from_columns(cls, ctx: RingContext, vecs: list[RingVec]) -> "RingMat":
         if not vecs:
             raise InputError("need at least one column")
         r = vecs[0].rank
-        arr = np.zeros((ctx.m, r, len(vecs)), dtype=object)
+        arr = np.zeros((ctx.m, r, len(vecs)), dtype=storage_dtype(ctx))
         for j, v in enumerate(vecs):
             if v.ctx != ctx or v.rank != r:
                 raise ContextMismatch("column context/rank mismatch")
@@ -381,12 +403,12 @@ class RingMat:
 
     def reduce_mod_p(self) -> "RingMat":
         res = self.ctx.residue_context()
-        return RingMat(res, self.arr % self.ctx.p)
+        return RingMat(res, _into(res, self.arr))
 
     def lift_to(self, ctx: RingContext) -> "RingMat":
         if ctx.p != self.ctx.p or ctx.m != self.ctx.m:
             raise ContextMismatch("lift across incompatible contexts")
-        return RingMat(ctx, self.arr % ctx.pn)
+        return RingMat(ctx, _into(ctx, self.arr))
 
     def frobenius(self) -> "RingMat":
         return RingMat(self.ctx, _frobenius_array(self.ctx, self.arr))
@@ -409,32 +431,29 @@ def _rref_unit(ctx: RingContext, work: np.ndarray) -> tuple[list[int], int]:
     count end with every entry of positive valuation.  Each pivot clears its
     column with one rank-1 update, work - f (x) pivot row, where f is the
     column with the pivot row's own factor zeroed.  Every product in the
-    sweep has inner dimension 1, so when m·(p^n-1)^2 < 2^63 the whole sweep
-    runs on one int64 copy of work, written back once at the end.
+    sweep has inner dimension 1, so the sweep runs on work in the storage
+    dtype.
     """
     _, r, c = work.shape
     p, pn = ctx.p, ctx.pn
-    (w,) = _int64_operands(ctx, 1, work)
     pivots: list[int] = []
     cur = 0
     for col in range(c):
-        units = np.flatnonzero((w[:, cur:, col] % p != 0).any(axis=0))
+        units = np.flatnonzero((work[:, cur:, col] % p != 0).any(axis=0))
         if not units.size:
             continue
         piv = cur + int(units[0])
         if piv != cur:
-            w[:, [cur, piv], :] = w[:, [piv, cur], :]
-        inv = _entry(ctx, w, (cur, col)).inverse().coeffs
-        w[:, cur, :] = _scal_native(ctx, inv, w[:, cur, :])
-        f = w[:, :, col].copy()
+            work[:, [cur, piv], :] = work[:, [piv, cur], :]
+        inv = _entry(ctx, work, (cur, col)).inverse().coeffs
+        work[:, cur, :] = _scal_native(ctx, inv, work[:, cur, :])
+        f = work[:, :, col].copy()
         f[:, cur] = 0
-        w[...] = (w - _mul_native(ctx, f[:, :, None], w[:, cur : cur + 1, :])) % pn
+        work[...] = (work - _mul_native(ctx, f[:, :, None], work[:, cur : cur + 1, :])) % pn
         pivots.append(col)
         cur += 1
         if cur == r:
             break
-    if w is not work:
-        work[...] = w
     return pivots, cur
 
 
@@ -461,7 +480,7 @@ def solve(a: RingMat, b):
     if a.rows != a.cols or rhs.rows != a.rows:
         raise DimensionMismatch("solve needs square a with matching b")
     r, k = a.rows, rhs.cols
-    work = np.concatenate([a.arr, rhs.arr], axis=2).copy()
+    work = np.concatenate([a.arr, rhs.arr], axis=2)
     pivots, _ = _rref_unit(a.ctx, work)
     if pivots != list(range(r)):
         raise NonUnitPivot("matrix is not invertible over the local ring")
@@ -500,17 +519,23 @@ def kernel(mat: RingMat) -> list[RingVec]:
 
 def solve_in_span(basis: list[RingVec], target: RingVec) -> list[PadicScalar] | None:
     """Coordinates of target in the span of a residually independent basis,
-    or None when target is outside the span at this precision."""
+    or None when target is outside the span at this precision.
+
+    One unit-pivot sweep of [B | target] decides both: the sweep mirrors
+    elimination mod p, so B is residually independent exactly when each of
+    its k columns gets a pivot, and target lies outside the span when its
+    own column does.
+    """
     if not basis:
         return None if not target.is_zero() else []
     ctx = target.ctx
     bmat = RingMat.from_columns(ctx, basis)
-    if residue_rank(bmat) != len(basis):
-        raise PrecisionLoss("span basis must be residually independent")
-    work = np.concatenate([bmat.arr, target.arr[:, :, None]], axis=2).copy()
+    work = np.concatenate([bmat.arr, target.arr[:, :, None]], axis=2)
     pivots, nrows = _rref_unit(ctx, work)
     k = len(basis)
-    if any(pc >= k for pc in pivots):
+    if pivots[:k] != list(range(k)):
+        raise PrecisionLoss("span basis must be residually independent")
+    if len(pivots) > k:
         return None
     if not bool((work[:, nrows:, :] == 0).all()):
         return None

@@ -161,6 +161,7 @@ class RingContext:
         "_gamma_cache",
         "_inverse_cache",
         "_generator",
+        "_storage_dtype",
     )
 
     def __init__(self, p: int, n: int, m: int = 1, modulus=None):
@@ -189,6 +190,7 @@ class RingContext:
         self._gamma_cache = {}
         self._inverse_cache = {}
         self._generator = None
+        self._storage_dtype = None  # filled by linalg.storage_dtype
 
     # -- identity ----------------------------------------------------------
 
@@ -196,6 +198,8 @@ class RingContext:
         return (self.p, self.n, self.m, self.modulus)
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return isinstance(other, RingContext) and self.key() == other.key()
 
     def __hash__(self) -> int:

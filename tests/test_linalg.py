@@ -9,11 +9,14 @@ from hypothesis import strategies as st
 
 from k3lift import (
     DimensionMismatch,
+    Isometry,
     NonUnitPivot,
     PrecisionLoss,
+    QuadLattice,
     RingContext,
     RingMat,
     RingVec,
+    eigen_split,
     independent_columns,
     inverse,
     is_unimodular,
@@ -215,26 +218,28 @@ def _ref_matmul(ctx, a, b):
         for j in range(c):
             acc = [0] * ctx.m
             for t in range(k):
-                prod = _ref_mul(ctx, tuple(a[:, i, t]), tuple(b[:, t, j]))
+                prod = _ref_mul(ctx, tuple(map(int, a[:, i, t])), tuple(map(int, b[:, t, j])))
                 acc = [x + y for x, y in zip(acc, prod)]
             out[:, i, j] = [x % ctx.pn for x in acc]
     return out
 
 
 def _coeff_array(ctx, shape, draw_entry):
-    arr = np.zeros((ctx.m,) + shape, dtype=object)
+    """A coefficient array as RingVec/RingMat store it: the context's
+    storage dtype."""
+    arr = np.zeros((ctx.m,) + shape, dtype=linalg.storage_dtype(ctx))
     for idx in np.ndindex(arr.shape):
         arr[idx] = draw_entry()
     return arr
 
 
 def _takes_int64(ctx, k):
-    return linalg._int64_operands(ctx, k, np.zeros((ctx.m, 1), dtype=object))[0].dtype == np.int64
+    return linalg._kernel_dtype(ctx, k) == np.int64
 
 
 def _check_kernels(ctx, a, b, s):
     """_mul_arrays, _matvec_arrays and _scal_arrays against the reference;
-    every result is object dtype holding Python ints."""
+    every result is in the context's storage dtype."""
     # s times a is the (1 x 1) by (1 x r*k) product
     s_mat = np.array(s, dtype=object).reshape(ctx.m, 1, 1)
     scaled = _ref_matmul(ctx, s_mat, a.reshape(ctx.m, 1, -1)).reshape(a.shape)
@@ -244,9 +249,9 @@ def _check_kernels(ctx, a, b, s):
         (linalg._scal_arrays(ctx, s, a), scaled),
     ]
     for got, want in outs:
-        assert got.dtype == object
-        assert all(type(x) is int for x in got.flat)
-        assert got.shape == want.shape and (got == want).all()
+        assert got.dtype == linalg.storage_dtype(ctx)
+        assert got.shape == want.shape
+        assert [int(x) for x in got.flat] == list(want.flat)
 
 
 # int64 for every small inner dimension / object for every inner dimension
@@ -416,3 +421,206 @@ def test_elimination_matches_per_row_sweep_at_rank_22(spec, monkeypatch):
     assert new == old
     assert len(new[4]) == 3 and new[5] == "PrecisionLoss" and new[3] == "NonUnitPivot"
     assert new[6] is not None and new[7] is None
+
+
+# -- one storage dtype per context ---------------------------------------------------
+
+# p = 2^32 + 15 is the least prime above 2^32: its residue field stores Python ints
+WIDE_P = 2**32 + 15
+STORAGE_INT64 = {
+    (3, 19, 1): True,
+    (3, 19, 6): True,
+    (5, 3, 2): True,
+    (3, 20, 1): False,
+    (3, 20, 2): False,
+    (3, 40, 1): False,
+    (WIDE_P, 2, 1): False,
+}
+
+
+@pytest.mark.parametrize("spec", list(STORAGE_INT64))
+def test_storage_dtype_follows_the_bound(spec):
+    ctx = RingContext(*spec)
+    int64 = ctx.m * (ctx.pn - 1) ** 2 < 2**63
+    assert int64 == STORAGE_INT64[spec]
+    assert linalg.storage_dtype(ctx) == np.dtype(np.int64 if int64 else object)
+
+
+def _closure_results(ctx):
+    """Every public RingVec/RingMat operation on a 3 x 3 unimodular matrix,
+    a singular matrix with a determined kernel and a vector of ctx."""
+    top = ctx.pn - 1
+    x = ctx.scalar([top] * ctx.m)
+    a = RingMat.from_rows(ctx, [[2, 1, x], [1, 1, 0], [0, 0, 1]])
+    sing = RingMat.from_rows(ctx, [[1, 2, x], [2, 4, x + x], [0, 0, 1]])
+    v = RingVec.from_entries(ctx, [x, 1, top])
+    res = ctx.residue_context()
+    results = {
+        "from_entries": v,
+        "from_rows": a,
+        "zeros": RingMat.zeros(ctx, 2, 3),
+        "identity": RingMat.identity(ctx, 3),
+        "from_columns": RingMat.from_columns(ctx, [v, v]),
+        "vec zeros": RingVec.zeros(ctx, 3),
+        "basis_vector": RingVec.basis_vector(ctx, 3, 1),
+        "column": a.column(2),
+        "row": a.row(0),
+        "vec +": v + v,
+        "vec -": v - v,
+        "vec neg": -v,
+        "vec scale": v.scale(x),
+        "+": a + a,
+        "-": a - sing,
+        "neg": -a,
+        "scale": a.scale(x),
+        "@": a @ sing,
+        "@ vec": a @ v,
+        "pow": a**3,
+        "transpose": a.transpose(),
+        "inverse": inverse(a),
+        "solve": solve(a, sing),
+        "solve vec": solve(a, v),
+        "frobenius": a.frobenius(),
+        "vec frobenius": v.frobenius(),
+        "reduce_mod_p": a.reduce_mod_p(),
+        "vec reduce_mod_p": v.reduce_mod_p(),
+        "lift_to": a.reduce_mod_p().lift_to(ctx),
+        "vec lift_to": v.reduce_mod_p().lift_to(ctx),
+        "residue lift_to": a.reduce_mod_p().lift_to(res),
+    }
+    for i, k in enumerate(kernel(sing)):
+        results[f"kernel {i}"] = k
+    assert "kernel 0" in results
+    # the swap on the hyperbolic plane: an isometry of order 2
+    plane = QuadLattice(ctx, [[0, 1], [1, 0]])
+    results["direct_sum"] = plane.direct_sum(plane).gram
+    swap = RingMat.from_rows(ctx, [[0, 1], [1, 0]])
+    for comp in eigen_split(Isometry(plane, swap), 2).components:
+        results[f"eigen_split {comp.index}"] = comp.projector
+    return results
+
+
+def _flat(x):
+    return [c for e in x for c in _flat(e)] if isinstance(x, list) else [x]
+
+
+@pytest.mark.parametrize("spec", list(STORAGE_INT64))
+def test_every_operation_returns_the_storage_dtype(spec):
+    ctx = RingContext(*spec)
+    for name, out in _closure_results(ctx).items():
+        assert out.arr.dtype == linalg.storage_dtype(out.ctx), name
+        # reduced coefficients, read back as Python ints
+        assert all(type(c) is int and 0 <= c < out.ctx.pn for c in _flat(out.to_json())), name
+
+
+@pytest.mark.parametrize(
+    "low, high",
+    [((3, 19, 1), (3, 20, 1)), ((3, 20, 1), (3, 19, 1)), ((5, 1, 1), (5, 30, 1)), ((5, 3, 2), (5, 30, 2))],
+)
+def test_lift_to_crosses_storage_dtypes(low, high):
+    # widened before the reduction: int64 % 5^30 would overflow
+    src, dst = RingContext(*low), RingContext(*high)
+    rows = [[src.scalar([src.pn - 1 - i - j] * src.m) for j in range(3)] for i in range(2)]
+    a = RingMat.from_rows(src, rows)
+    lifted = a.lift_to(dst)
+    assert lifted.arr.dtype == linalg.storage_dtype(dst)
+    assert lifted.to_json() == [[[c % dst.pn for c in e] for e in row] for row in a.to_json()]
+    v = a.row(1).lift_to(dst)
+    assert v.arr.dtype == linalg.storage_dtype(dst) and v == lifted.row(1)
+
+
+@pytest.mark.parametrize("spec", [(WIDE_P, 2, 1), (3, 40, 1), (3, 20, 2)])
+def test_reduce_mod_p_crosses_storage_dtypes(spec):
+    # Python-int arrays reduce into a residue field that stores int64 (p = 3)
+    # or Python ints (p > 2^32)
+    ctx = RingContext(*spec)
+    res = ctx.residue_context()
+    rows = [[ctx.scalar([ctx.pn - 1 - 7 * (i + j)] * ctx.m) for j in range(2)] for i in range(2)]
+    red = RingMat.from_rows(ctx, rows).reduce_mod_p()
+    assert red.ctx == res and red.arr.dtype == linalg.storage_dtype(res)
+    assert red == RingMat.from_rows(res, [[ctx.reduce(e) for e in row] for row in rows])
+
+
+def _two_sweep_solve_in_span(basis, target):
+    """solve_in_span before the single sweep: a residue-rank sweep of B,
+    then a sweep of [B | target].  Kept as an oracle."""
+    if not basis:
+        return None if not target.is_zero() else []
+    ctx = target.ctx
+    bmat = RingMat.from_columns(ctx, basis)
+    if linalg.residue_rank(bmat) != len(basis):
+        raise PrecisionLoss("span basis must be residually independent")
+    work = np.concatenate([bmat.arr, target.arr[:, :, None]], axis=2).copy()
+    pivots, nrows = linalg._rref_unit(ctx, work)
+    k = len(basis)
+    if any(pc >= k for pc in pivots):
+        return None
+    if not bool((work[:, nrows:, :] == 0).all()):
+        return None
+    coords = [ctx.zero()] * k
+    for i, pc in enumerate(pivots):
+        coords[pc] = linalg._entry(ctx, work, (i, k))
+    return coords
+
+
+@pytest.mark.parametrize("spec", [(5, 4, 2), (3, 19, 1), (3, 20, 1), (7, 2, 1)])
+def test_solve_in_span_matches_two_sweeps_at_rank_22(spec):
+    ctx = RingContext(*spec)
+    rng = random.Random(sum(spec))
+    p = ctx.scalar(ctx.p)
+
+    def vec():
+        return RingVec.from_entries(ctx, [random_scalar(rng, ctx) for _ in range(22)])
+
+    def combo(vs):
+        out = RingVec.zeros(ctx, 22)
+        for v in vs:
+            out = out + v.scale(random_scalar(rng, ctx))
+        return out
+
+    def attempt(basis, target):
+        try:
+            out = linalg.solve_in_span(basis, target)
+        except PrecisionLoss:
+            return "PrecisionLoss"
+        return None if out is None else [c.coeffs for c in out]
+
+    def oracle(basis, target):
+        try:
+            out = _two_sweep_solve_in_span(basis, target)
+        except PrecisionLoss:
+            return "PrecisionLoss"
+        return None if out is None else [c.coeffs for c in out]
+
+    while True:
+        full = [vec() for _ in range(22)]
+        if is_unimodular(RingMat.from_columns(ctx, full)):
+            break
+    basis = full[:8]
+    # dependent exactly, and dependent only mod p (a unit-free difference)
+    dependent = basis[:7] + [combo(basis[:3])]
+    residual = basis[:7] + [combo(basis[:3]) + vec().scale(p)]
+    inside = combo(basis)
+    cases = [
+        (basis, inside, "coords"),
+        (basis, combo(basis) + full[12], None),
+        (basis, inside + full[9].scale(p), None),  # off the span by p
+        (basis, RingVec.zeros(ctx, 22), "coords"),
+        (dependent, inside, "PrecisionLoss"),
+        (residual, inside, "PrecisionLoss"),
+        (residual, full[20], "PrecisionLoss"),
+        (full, combo(full), "coords"),  # k = rank: the target column gets no sweep
+        (full + [vec()], vec(), "PrecisionLoss"),  # more columns than rows
+    ]
+    for b, t, kind in cases:
+        got = attempt(b, t)
+        assert got == oracle(b, t)
+        if kind == "coords":
+            assert isinstance(got, list) and len(got) == len(b)
+        else:
+            assert got == kind
+    coords = linalg.solve_in_span(basis, inside)
+    rebuilt = RingVec.zeros(ctx, 22)
+    for c, b in zip(coords, basis):
+        rebuilt = rebuilt + b.scale(c)
+    assert rebuilt == inside
