@@ -48,12 +48,7 @@ class Isometry:
         if not isinstance(lattice, QuadLattice):
             raise InputError("an Isometry needs a ring lattice; use Isometry.from_integer")
         self.lattice = lattice
-        if isinstance(matrix, RingMat):
-            if matrix.ctx != lattice.ring:
-                raise ContextMismatch("matrix context differs from lattice")
-            m = matrix
-        else:
-            m = RingMat.from_rows(lattice.ring, matrix)
+        m = RingMat.from_rows(lattice.ring, matrix)
         if m.rows != lattice.rank or m.cols != lattice.rank:
             raise DimensionMismatch("matrix shape must match lattice rank")
         self.matrix = m

@@ -287,12 +287,7 @@ class QuadLattice:
         if not isinstance(ring, RingContext):
             raise InputError("a QuadLattice needs a ring context; use IntLattice over Z")
         self.ring = ring
-        if isinstance(gram, RingMat):
-            if gram.ctx != ring:
-                raise ContextMismatch("Gram context differs from lattice ring")
-            g = gram
-        else:
-            g = RingMat.from_rows(ring, gram)
+        g = RingMat.from_rows(ring, gram)
         if g.rows != g.cols:
             raise DimensionMismatch("Gram matrix must be square")
         if not g.is_symmetric():

@@ -30,7 +30,7 @@ from .errors import (
     int_field,
 )
 from .hensel import isotropic_combination, orthogonalize_with_coefficient
-from .isometry import Isometry, eigen_split, lift_eigenvector, require_tame
+from .isometry import EigenSplit, Isometry, eigen_split, lift_eigenvector, require_tame
 from .lattice import QuadLattice
 from .linalg import RingMat, RingVec, residue_rank, solve_in_span
 from .serialize import matrix_from_json, scalar_from_json, vector_from_json
@@ -48,7 +48,6 @@ class SlopeDecomposition:
     __slots__ = ("lattice", "low", "middle", "high", "frobenius")
 
     def __init__(self, lattice: QuadLattice, low, middle, high, frobenius=None):
-        ctx = lattice.ring
         self.lattice = lattice
         self.low = [lattice.vector(v) for v in low]
         self.middle = [lattice.vector(v) for v in middle]
@@ -57,10 +56,11 @@ class SlopeDecomposition:
             raise DimensionMismatch("outer slope pieces must have equal positive rank")
         if len(self.low) + len(self.middle) + len(self.high) != lattice.rank:
             raise DimensionMismatch("sub-bases must concatenate to the ambient rank")
-        if isinstance(frobenius, RingMat) or frobenius is None:
-            self.frobenius = frobenius
-        else:
-            self.frobenius = RingMat.from_rows(ctx, frobenius)
+        if frobenius is not None:
+            frobenius = RingMat.from_rows(lattice.ring, frobenius)
+            if frobenius.rows != lattice.rank or frobenius.cols != lattice.rank:
+                raise DimensionMismatch("frobenius shape must match lattice rank")
+        self.frobenius = frobenius
         self._validate()
 
     def _validate(self) -> None:
@@ -149,16 +149,12 @@ class SupersingularInput:
     fixes the ample class when one is supplied.
     """
 
-    __slots__ = ("lattice", "matrix", "hodge_line", "ample", "artin_invariant")
+    __slots__ = ("lattice", "isometry", "hodge_line", "ample", "artin_invariant")
 
     def __init__(self, lattice: QuadLattice, matrix, hodge_line, ample=None, artin_invariant=None):
         ctx = lattice.ring
         self.lattice = lattice
-        self.matrix = matrix if isinstance(matrix, RingMat) else RingMat.from_rows(ctx, matrix)
-        if self.matrix.rows != lattice.rank or self.matrix.cols != lattice.rank:
-            raise DimensionMismatch("isometry shape must match lattice rank")
-        if (self.matrix.transpose() @ lattice.gram @ self.matrix) != lattice.gram:
-            raise InputError("matrix does not preserve the pairing")
+        self.isometry = Isometry(lattice, matrix)
         res = ctx.residue_context()
         if isinstance(hodge_line, RingVec):
             if hodge_line.ctx == ctx:
@@ -183,6 +179,10 @@ class SupersingularInput:
     @property
     def ctx(self) -> RingContext:
         return self.lattice.ring
+
+    @property
+    def matrix(self) -> RingMat:
+        return self.isometry.matrix
 
     def residue_eigenvalue(self) -> PadicScalar:
         """Eigenvalue of the reduced isometry on the Hodge line."""
@@ -221,6 +221,16 @@ class SupersingularInput:
             None if ample is None else vector_from_json(ctx, ample),
             data.get("artin_invariant"),
         )
+
+
+def _root_index(split: EigenSplit, lam_bar: PadicScalar) -> int:
+    """Index of the root of the split whose residue is lam_bar;
+    HodgeLineNotEigen when no N-th root of unity reduces to it."""
+    reduce = split.ctx.reduce
+    index = next((i for i, root in enumerate(split.roots) if reduce(root) == lam_bar), None)
+    if index is None:
+        raise HodgeLineNotEigen("hodge eigenvalue is not an N-th root of unity")
+    return index
 
 
 def _residue_eigenvalue(matrix: RingMat, vbar: RingVec) -> PadicScalar:
@@ -367,11 +377,7 @@ def verify_certificate(cert: LiftingCertificate) -> VerificationReport:
             entry["detail"] = detail
         checks.append(entry)
 
-    record(
-        "core:isometry",
-        (a.transpose() @ cert.gram @ a) == cert.gram,
-        "matrix preserves the pairing",
-    )
+    record("core:isometry", Isometry(lat, a, check=False).verify(), "matrix preserves the pairing")
     record("core:eigen-relation", (a @ m) == m.scale(lam), "A m = lambda m")
     record("core:eigenvalue-order", lam ** cert.order == ctx.one(), "lambda^N = 1")
     record("core:isotropy", lat.pairing(m, m).is_zero(), "m . m = 0")
@@ -444,11 +450,9 @@ def lift_finite_height(
     """
     ctx = sd.ctx
     require_tame(ctx, order, NotWeaklyTame)
-    a = isometry.matrix if isinstance(isometry, Isometry) else isometry
-    if not isinstance(a, RingMat):
-        a = RingMat.from_rows(ctx, a)
-    if (a.transpose() @ sd.lattice.gram @ a) != sd.lattice.gram:
-        raise InputError("matrix does not preserve the pairing")
+    if isinstance(isometry, Isometry):
+        isometry = isometry.matrix
+    a = Isometry(sd.lattice, isometry).matrix
     # restrict to the top piece; the isometry must stabilize every piece
     restricted = {}
     for name, piece in (("low", sd.low), ("middle", sd.middle), ("high", sd.high)):
@@ -482,12 +486,7 @@ def lift_finite_height(
     xbar = RingVec.from_entries(res, [c.coeffs for c in coords_bar])
     high_lat = QuadLattice(ctx, RingMat.zeros(ctx, h, h))
     split = eigen_split(Isometry(high_lat, high_mat, check=False), order)
-    lam_bar = _residue_eigenvalue(high_mat, xbar)
-    index = next(
-        (i for i, root in enumerate(split.roots) if ctx.reduce(root) == lam_bar), None
-    )
-    if index is None:
-        raise HodgeLineNotEigen("hodge eigenvalue is not an N-th root of unity")
+    index = _root_index(split, _residue_eigenvalue(high_mat, xbar))
     w = lift_eigenvector(split, index, xbar)
     m = RingVec.zeros(ctx, sd.lattice.rank)
     for j, b in enumerate(sd.high):
@@ -526,13 +525,8 @@ def lift_ss_nonsymplectic(inp: SupersingularInput, order: int) -> LiftingCertifi
     res = ctx.residue_context()
     if lam_bar == res.one():
         raise SymplecticInput("the action fixes the Hodge line mod p")
-    iso = Isometry(inp.lattice, inp.matrix, check=False)
-    split = eigen_split(iso, order)
-    index = next(
-        (i for i, root in enumerate(split.roots) if ctx.reduce(root) == lam_bar), None
-    )
-    if index is None:
-        raise HodgeLineNotEigen("hodge eigenvalue is not an N-th root of unity")
+    split = eigen_split(inp.isometry, order)
+    index = _root_index(split, lam_bar)
     zeta = split.roots[index]
     u = lift_eigenvector(split, index, inp.hodge_line)
     comp = split.component(index)
@@ -594,8 +588,7 @@ def lift_ss_symplectic(inp: SupersingularInput, order: int) -> LiftingCertificat
         raise PreconditionError(
             "the Hodge line must pair to zero with the ample class mod p"
         )
-    iso = Isometry(inp.lattice, inp.matrix, check=False)
-    split = eigen_split(iso, order)
+    split = eigen_split(inp.isometry, order)
     fixed = split.component(0)
     u0 = lift_eigenvector(split, 0, inp.hodge_line)
     lat = inp.lattice
@@ -655,20 +648,19 @@ def universal_line(
     generator always pass, and a report entry records the factor found.
     """
     cert = lift_finite_height(sd, isometry, order, hodge_line)
-    ctx = cert.ctx
     m = cert.generator
     pivot = next(i for i in range(m.rank) if m.entry(i).is_unit())
     reports = []
     for k, beta in enumerate(others):
-        b = beta.matrix if isinstance(beta, Isometry) else beta
-        if not isinstance(b, RingMat):
-            b = RingMat.from_rows(ctx, b)
-        image = b @ m
+        if isinstance(beta, Isometry):
+            beta = beta.matrix
+        iso = Isometry(sd.lattice, beta, check=False)
+        image = iso.matrix @ m
         factor = image.entry(pivot) * m.entry(pivot).inverse()
         stabilizes = image == m.scale(factor)
         entry = {
             "index": k,
-            "preserves_pairing": (b.transpose() @ cert.gram @ b) == cert.gram,
+            "preserves_pairing": iso.verify(),
             "stabilizes": bool(stabilizes),
         }
         if stabilizes:

@@ -273,6 +273,13 @@ class RingMat:
 
     @classmethod
     def from_rows(cls, ctx: RingContext, rows) -> "RingMat":
+        """Coerce a list of rows of scalars, or a RingMat of this context
+        (returned as it is); a RingMat of any other context raises
+        ContextMismatch.  The one matrix coercion of every constructor."""
+        if isinstance(rows, RingMat):
+            if rows.ctx != ctx:
+                raise ContextMismatch(f"{rows.ctx!r} vs {ctx!r}")
+            return rows
         if not isinstance(rows, (list, tuple)) or not all(
             isinstance(row, (list, tuple)) for row in rows
         ):

@@ -215,9 +215,8 @@ class FrobeniusStructure:
 
     __slots__ = ("frame", "matrix")
 
-    def __init__(self, frame: PeriodFrame, matrix: RingMat):
-        if matrix.ctx != frame.ctx:
-            raise ContextMismatch("Frobenius context differs from frame")
+    def __init__(self, frame: PeriodFrame, matrix):
+        matrix = RingMat.from_rows(frame.ctx, matrix)
         if matrix.rows != frame.rank or matrix.cols != frame.rank:
             raise DimensionMismatch("Frobenius matrix must match frame rank")
         self.frame = frame

@@ -12,11 +12,11 @@ from __future__ import annotations
 import math
 from random import Random
 
-from .errors import DimensionMismatch, InputError, NotTame
+from .errors import DimensionMismatch
 from .witt import PadicScalar, RingContext
 from .linalg import RingMat, RingVec, inverse
 from .lattice import QuadLattice
-from .isometry import Isometry
+from .isometry import Isometry, require_tame
 from .period import PeriodFrame
 from .torelli import ConnectionData, DeformationPoint, quadric_connection
 
@@ -106,10 +106,7 @@ def random_tame_isometry(
     inverse.  Requires order | p^m - 1 (InsufficientResidueField
     otherwise) and gcd(order, p) = 1.
     """
-    if order < 1:
-        raise InputError("order must be positive")
-    if math.gcd(order, ctx.p) != 1:
-        raise NotTame(f"order {order} shares a factor with p = {ctx.p}")
+    require_tame(ctx, order)
     roots = ctx.nth_roots_of_unity(order)
     exps = _eigenvalue_exponents(rng, rank, order)
     zero, diag, gram0 = ctx.zero(), [], [[ctx.zero()] * rank for _ in range(rank)]

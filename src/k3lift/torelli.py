@@ -93,16 +93,7 @@ class ConnectionData:
 
     def __init__(self, frame: PeriodFrame, matrices, check: bool = True):
         self.frame = frame
-        ctx = frame.ctx
-        mats = []
-        for mat in matrices:
-            if isinstance(mat, RingMat):
-                if mat.ctx != ctx:
-                    raise ContextMismatch("connection matrix context differs from frame")
-                mats.append(mat)
-            else:
-                mats.append(RingMat.from_rows(ctx, mat))
-        self.matrices = tuple(mats)
+        self.matrices = tuple(RingMat.from_rows(frame.ctx, mat) for mat in matrices)
         if len(self.matrices) != frame.parameter_count:
             raise DimensionMismatch(
                 f"need {frame.parameter_count} connection matrices, got {len(self.matrices)}"

@@ -21,6 +21,7 @@ from .errors import (
     NonUnit,
     NotTame,
     ValuationViolation,
+    int_field,
 )
 
 
@@ -176,7 +177,9 @@ class RingContext:
         self.q = p**m
         if modulus is None:
             modulus = default_modulus(p, m)
-        modulus = tuple(int(c) % self.pn for c in modulus)
+        elif not isinstance(modulus, (list, tuple)):
+            raise InputError("modulus must be a list of integer coefficients")
+        modulus = tuple(_exact_int(c) % self.pn for c in modulus)
         if len(modulus) != m + 1 or modulus[m] != 1:
             raise InputError("modulus must be monic of degree m")
         if not _is_irreducible_mod_p([c % p for c in modulus], p):
@@ -484,15 +487,11 @@ class RingContext:
 
     @classmethod
     def from_json(cls, obj: dict) -> "RingContext":
-        try:
-            return cls(
-                int(obj["p"]),
-                int(obj["n"]),
-                int(obj.get("m", 1)),
-                obj.get("modulus"),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad ring context: {exc}") from exc
+        """p, n and an optional m (default 1) must be integers, and modulus
+        integer coefficients; anything else raises InputError."""
+        p, n = int_field(obj, "p"), int_field(obj, "n")
+        m = int_field(obj, "m") if "m" in obj else 1
+        return cls(p, n, m, obj.get("modulus"))
 
 
 class PadicScalar:

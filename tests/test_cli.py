@@ -412,6 +412,8 @@ _SCALAR_MESSAGE = "a scalar must be an integer or a coefficient array"
         ("finite-height", "decomposition.frobenius", "q", "a matrix must be a nonempty list"),
         ("period-complete", "coordinates", 5, "field 'coordinates' must be a list"),
         ("finite-height", "others", 5, "field 'others' must be a list"),
+        # a ring field is refused, never truncated into another context
+        (None, "ring.p", 5.9, "field 'p' must be an integer"),
     ],
 )
 def test_wrong_typed_field_exit_1(mode, key, value, message):

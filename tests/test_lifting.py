@@ -3,6 +3,7 @@
 import pytest
 
 from k3lift import (
+    DimensionMismatch,
     HodgeLineNotEigen,
     IndependenceFailure,
     InputError,
@@ -95,6 +96,16 @@ def test_slope_decomposition_json_round_trip():
     back = SlopeDecomposition.from_json(data)
     assert back.lattice == sd.lattice
     assert [v.to_json() for v in back.high] == [v.to_json() for v in sd.high]
+
+
+def test_slope_decomposition_frobenius_must_match_rank():
+    sd, a, _ = _order3_slope()
+    data = sd.to_json()
+    data["frobenius"] = [[7]]
+    with pytest.raises(DimensionMismatch):
+        SlopeDecomposition.from_json(data)
+    data["frobenius"] = a.to_json()
+    assert SlopeDecomposition.from_json(data).frobenius == a
 
 
 # -- finite-height branch ---------------------------------------------------

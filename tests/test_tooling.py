@@ -1,5 +1,6 @@
-"""Repository-level checks: no assert statements and no float constants in
-the package, and the benchmark harness runs end to end."""
+"""Repository-level checks: no assert statements, no float constants and
+no RingMat isinstance test outside linalg in the package, and the
+benchmark harness runs end to end."""
 
 import ast
 import json
@@ -29,6 +30,25 @@ def test_package_has_no_float_constants():
     assert _package_nodes(
         lambda node: isinstance(node, ast.Constant) and isinstance(node.value, float)
     ) == []
+
+
+def _isinstance_of_ringmat(node):
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and len(node.args) == 2):
+        return False
+    kinds = node.args[1]
+    kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+    return any(
+        (isinstance(k, ast.Name) and k.id == "RingMat")
+        or (isinstance(k, ast.Attribute) and k.attr == "RingMat")
+        for k in kinds
+    )
+
+
+def test_matrix_coercion_has_one_home():
+    # RingMat.from_rows is the only place that tells a RingMat from rows
+    found = _package_nodes(_isinstance_of_ringmat)
+    assert [f for f in found if not f.startswith("linalg.py:")] == []
 
 
 def test_benchmark_harness_smoke():

@@ -223,6 +223,30 @@ def test_context_json_round_trip():
     assert RingContext.from_json(data) == C322
 
 
+def test_context_json_fields_are_exact_integers():
+    assert RingContext.from_json({"p": 5, "n": 3}) == RingContext(5, 3, 1)
+    for bad in (
+        {"p": 5.9, "n": 3},
+        {"p": 5, "n": "3"},
+        {"p": 5, "n": 3, "m": True},
+        {"p": 5, "n": 3, "m": None},
+        {"p": 5, "n": 2, "m": 2, "modulus": [2.7, 4, 1.2]},
+        {"p": 5, "n": 2, "m": 2, "modulus": 5},
+        {"n": 3},
+        [5, 3],
+    ):
+        with pytest.raises(InputError):
+            RingContext.from_json(bad)
+
+
+def test_modulus_coefficients_are_exact_integers():
+    # x^2 + 4x + 2 and x^2 + x + 2 are irreducible mod 5: only the types are wrong
+    assert RingContext(5, 2, 2, (2, np.int64(4), 1)).modulus == (2, 4, 1)
+    for bad in ([2.7, 4, 1.2], [2, "4", 1], [2, True, 1], 5, "241"):
+        with pytest.raises(InputError):
+            RingContext(5, 2, 2, bad)
+
+
 def test_centered_representatives():
     # unique representative in (-p^n/2, p^n/2]
     assert C531.scalar(124).centered() == -1
