@@ -26,6 +26,7 @@ from . import constraints as gates
 from .hensel import isotropic_combination
 from .isometry import eigen_split
 from .lifting import (
+    BRANCHES,
     LiftingCertificate,
     SlopeDecomposition,
     SupersingularInput,
@@ -335,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument(
                 "--mode",
                 required=True,
-                choices=("finite-height", "ss-nonsymplectic", "ss-symplectic"),
+                choices=BRANCHES,
                 help="which proof branch to follow",
             )
         if name == "constraints":

@@ -249,6 +249,8 @@ def _residue_eigenvalue(matrix: RingMat, vbar: RingVec) -> PadicScalar:
 # ---------------------------------------------------------------------------
 # certificates
 
+BRANCHES = ("finite-height", "ss-nonsymplectic", "ss-symplectic")
+
 
 class LiftingCertificate:
     """Self-contained witness: (m, A, Gram) plus a re-checkable transcript."""
@@ -296,7 +298,9 @@ class LiftingCertificate:
     def from_json(cls, data: dict, ctx: RingContext | None = None) -> "LiftingCertificate":
         if ctx is None:
             ctx = RingContext.from_json(field(data, "ring"))
-        branch = str(field(data, "branch"))
+        branch = field(data, "branch")
+        if branch not in BRANCHES:
+            raise InputError(f"field 'branch' must be one of {', '.join(BRANCHES)}")
         order = int_field(data, "order")
         gram = matrix_from_json(ctx, field(data, "gram"))
         matrix = matrix_from_json(ctx, field(data, "matrix"), gram.rows)

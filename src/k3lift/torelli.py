@@ -9,15 +9,23 @@ to the frame (D_i v1 = v_{i+1}).  Parallel transport to the point
 
 truncated at total degree M(n, p), beyond which every term has valuation
 at least n.  It is summed as the product T_d ... T_1 y of one-variable
-series T_i = sum_{k<M} gamma_k(pa_i) D_i^k, which costs d (M - 1)
-matrix-vector products.  The product adds only cross terms of total degree
-K >= M, and their coefficients vanish at precision n (see transport).
+series T_i = sum_{k<M} gamma_k(pa_i) D_i^k.  Each factor is two products:
+the connection's cached stack [gamma_1 D_i; ...; gamma_{M-1} D_i^{M-1}]
+times the current vector, then the row (a_i, ..., a_i^{M-1}) times the
+M - 1 resulting blocks.  So a transport costs d matrix-vector products,
+once the first transport on a connection has built the stacks with
+d (M - 2) matrix products.  The product adds only cross terms of total
+degree K >= M, and their coefficients vanish at precision n (see
+transport).
 Reading frame coordinates off the transported Hodge generator gives the
 period map; its inverse is a fixed-point iteration contracting by a factor
 of p per step.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
+from operator import matmul, mul
 
 from .errors import (
     ContextMismatch,
@@ -86,10 +94,11 @@ class ConnectionData:
       - adaptation D_i v1 = v_{i+1}, which pins the first-order behaviour
         of the period map to h_i = pa_i + O(p^2).
     Matrices that are merely transversal can be brought to this form with
-    adapt().
+    adapt().  The transport stacks are derived data, built on the first
+    transport and kept for every later one (see transport_stacks).
     """
 
-    __slots__ = ("frame", "matrices")
+    __slots__ = ("frame", "matrices", "_stacks")
 
     def __init__(self, frame: PeriodFrame, matrices, check: bool = True):
         self.frame = frame
@@ -101,6 +110,7 @@ class ConnectionData:
         for mat in self.matrices:
             if mat.rows != frame.rank or mat.cols != frame.rank:
                 raise DimensionMismatch("connection matrices must match frame rank")
+        self._stacks = None
         if check:
             self.validate()
 
@@ -111,6 +121,26 @@ class ConnectionData:
     @property
     def dimension(self) -> int:
         return len(self.matrices)
+
+    def transport_stacks(self) -> tuple[RingMat, ...]:
+        """Per direction i, the (M - 1) r x r stack
+        [gamma_1 D_i; gamma_2 D_i^2; ...; gamma_{M-1} D_i^{M-1}] with
+        gamma_k = ctx.divided_power_factor(k) and M = M(n, p).
+
+        Built with d (M - 2) matrix products on the first call and cached.
+        """
+        if self._stacks is None:
+            ctx, r = self.ctx, self.frame.rank
+            bound = truncation_degree(ctx.n, ctx.p)
+            stacks = []
+            for di in self.matrices:
+                powers = accumulate([di] * (bound - 1), matmul)
+                stack = RingMat.zeros(ctx, (bound - 1) * r, r)
+                for k, power in enumerate(powers, 1):
+                    stack.arr[:, (k - 1) * r : k * r] = power.scale(ctx.divided_power_factor(k)).arr
+                stacks.append(stack)
+            self._stacks = tuple(stacks)
+        return self._stacks
 
     def validate(self) -> None:
         ctx = self.ctx
@@ -214,6 +244,13 @@ def transport(conn: ConnectionData, point: DeformationPoint, y: RingVec) -> Ring
     term has total degree K >= M and a coefficient of valuation at least
     sum_i (m_i - v_p(m_i!)) >= K - v_p(K!) >= n, since v_p(K!) bounds
     sum_i v_p(m_i!) (multinomial coefficients are integers).
+
+    Each factor is two products: the cached stack of gamma_k D_i^k
+    (ConnectionData.transport_stacks) times the current vector gives every
+    term at once, and the row (a, a^2, ..., a^{M-1}) times those M - 1
+    blocks sums them.  A transport costs d matrix-vector products, d
+    1 x (M - 1) by (M - 1) x r products and d (M - 2) scalar products; the
+    first one on a connection also builds the stacks.
     """
     ctx = conn.ctx
     if point.ctx != ctx or y.ctx != ctx:
@@ -222,14 +259,12 @@ def transport(conn: ConnectionData, point: DeformationPoint, y: RingVec) -> Ring
         raise DimensionMismatch("deformation point dimension differs from connection")
     bound = truncation_degree(ctx.n, ctx.p)
     out = y
-    for pa, di in zip(point.entries, conn.matrices):
+    for pa, stack in zip(point.entries, conn.transport_stacks()):
         a = pa.exact_div_p(1)
-        apow = ctx.one()
-        cur = out
-        for k in range(1, bound):
-            apow = apow * a
-            cur = di @ cur
-            out = out + cur.scale(ctx.divided_power_factor(k) * apow)
+        row = RingVec.from_entries(ctx, list(accumulate([a] * (bound - 1), mul)))
+        terms = stack @ out
+        blocks = RingMat(ctx, terms.arr.reshape(ctx.m, bound - 1, out.rank))
+        out = out + (RingMat(ctx, row.arr[:, None, :]) @ blocks).row(0)
     return out
 
 
@@ -243,8 +278,8 @@ def phi_map(conn: ConnectionData, point: DeformationPoint) -> tuple:
     ctx = conn.ctx
     r = conn.frame.rank
     h = transport(conn, point, RingVec.basis_vector(ctx, r, 0))
-    inv_h1 = h.entry(0).inverse()
-    return tuple(h.entry(i) * inv_h1 for i in range(1, r - 1))
+    coords = h.scale(h.entry(0).inverse())
+    return tuple(coords.entry(i) for i in range(1, r - 1))
 
 
 def phi_line(conn: ConnectionData, point: DeformationPoint) -> PeriodLine:

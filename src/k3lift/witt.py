@@ -25,14 +25,17 @@ from .errors import (
 )
 
 
-def _exact_int(c) -> int:
-    """c as an int through operator.index; a bool, float or string is refused."""
+def _exact_int(c, name: str | None = None) -> int:
+    """c as an int through operator.index; a bool, float or string is
+    refused, naming the argument when a name is given."""
     if not isinstance(c, bool):
         try:
             return operator.index(c)
         except TypeError:
             pass
-    raise InputError("a scalar must be an integer or a coefficient array")
+    if name is None:
+        raise InputError("a scalar must be an integer or a coefficient array")
+    raise InputError(f"{name} must be an integer, got {c!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +169,9 @@ class RingContext:
     )
 
     def __init__(self, p: int, n: int, m: int = 1, modulus=None):
+        p = _exact_int(p, "p")
+        n = _exact_int(n, "precision n")
+        m = _exact_int(m, "residue degree m")
         if p < 3 or not is_prime(p):
             raise InputError(f"p must be an odd prime, got {p}")
         if n < 1:

@@ -49,6 +49,7 @@ from k3lift import (
     random_isotropic_instance,
     random_period_coordinates,
     random_period_frame,
+    random_scalar,
     random_tame_isometry,
     surface_thresholds,
     tameness,
@@ -211,6 +212,27 @@ def test_criterion_4_local_torelli():
         assert list(phi_map(conn, pre)) == list(target)
         trips += 1
     verdict(4, f"{trips} Newton round trips in both directions, <= n iterations")
+
+
+def test_criterion_4_local_torelli_at_k3_rank():
+    # the K3 size: rank 22, d = 20 parameters, in both residue degrees
+    rng = Random(4020)
+    trips = 0
+    for spec in ((5, 4, 1), (5, 4, 2)):
+        ctx = RingContext(*spec)
+        conn = random_connection(rng, ctx, 20)
+        for _ in range(2):
+            point = random_deformation_point(rng, conn)
+            image = phi_map(conn, point)
+            for h, e in zip(image, point.entries):
+                assert (h - e).valuation() >= 2
+            assert tuple(phi_line(conn, point).coordinates()) == image
+            assert phi_invert(conn, image, max_iterations=ctx.n) == point
+            target = [ctx.scalar(ctx.p) * random_scalar(rng, ctx) for _ in range(20)]
+            pre = phi_invert(conn, target, max_iterations=ctx.n)
+            assert list(phi_map(conn, pre)) == target
+            trips += 1
+    verdict(4, f"{trips} Newton round trips in both directions at d = 20, m = 1 and 2")
 
 
 # -- criterion 5: liftability certificates ------------------------------------------

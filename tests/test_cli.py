@@ -393,6 +393,7 @@ _PROBE_BASES = {
 }
 
 _SCALAR_MESSAGE = "a scalar must be an integer or a coefficient array"
+_BRANCH_MESSAGE = "field 'branch' must be one of finite-height, ss-nonsymplectic, ss-symplectic"
 
 
 @pytest.mark.parametrize(
@@ -414,6 +415,11 @@ _SCALAR_MESSAGE = "a scalar must be an integer or a coefficient array"
         ("finite-height", "others", 5, "field 'others' must be a list"),
         # a ring field is refused, never truncated into another context
         (None, "ring.p", 5.9, "field 'p' must be an integer"),
+        # a branch is one of the three builders' names, never str() of anything
+        (None, "branch", 5, _BRANCH_MESSAGE),
+        (None, "branch", None, _BRANCH_MESSAGE),
+        (None, "branch", [1], _BRANCH_MESSAGE),
+        (None, "branch", "no-such-branch", _BRANCH_MESSAGE),
     ],
 )
 def test_wrong_typed_field_exit_1(mode, key, value, message):

@@ -1,9 +1,11 @@
 """Local Torelli map: transport series, forward map, Newton inversion."""
 
+from collections import Counter
 from random import Random
 
 import pytest
 
+from k3lift import torelli
 from k3lift import (
     ConnectionData,
     DeformationPoint,
@@ -114,22 +116,61 @@ def test_transport_applies_first_matrix_first(p, n, m, d):
     assert out != _multi_index_transport(flipped, back, y)
 
 
-def test_transport_matvec_count_at_rank_22(monkeypatch):
-    # d (M - 1) products, one per (matrix, degree) pair: no multi-index blow-up
+def _shape_counter(monkeypatch):
+    """Record (rows, cols, operand kind) of every RingMat product."""
+    calls = Counter()
+    matmul = RingMat.__matmul__
+
+    def counting(self, other):
+        calls[self.rows, self.cols, type(other).__name__] += 1
+        return matmul(self, other)
+
+    monkeypatch.setattr(RingMat, "__matmul__", counting)
+    return calls
+
+
+def test_transport_stacked_product_count_at_rank_22(monkeypatch):
+    # the first transport builds the d (M - 2) powers D_i^k; every later one
+    # makes d stacked matrix-vector products and d row-by-block products
     ctx = RingContext(5, 8, 1)
     rng = Random(22)
     conn = random_connection(rng, ctx, 20)
     point = random_deformation_point(rng, conn)
-    calls = []
-    matmul = RingMat.__matmul__
+    y = RingVec.basis_vector(ctx, 22, 0)
+    bound = truncation_degree(8, 5)
+    per_transport = {((bound - 1) * 22, 22, "RingVec"): 20, (1, bound - 1, "RingMat"): 20}
+    calls = _shape_counter(monkeypatch)
+    first = transport(conn, point, y)
+    assert calls == Counter({(22, 22, "RingMat"): 20 * (bound - 2), **per_transport})
+    for _ in range(2):
+        calls.clear()
+        assert transport(conn, point, y) == first
+        assert calls == Counter(per_transport)
 
-    def counting(self, other):
-        calls.append(other)
-        return matmul(self, other)
 
-    monkeypatch.setattr(RingMat, "__matmul__", counting)
-    transport(conn, point, RingVec.basis_vector(ctx, 22, 0))
-    assert len(calls) == 20 * (truncation_degree(8, 5) - 1)
+def test_phi_invert_builds_stacks_once(monkeypatch):
+    ctx = RingContext(5, 6, 1)
+    rng = Random(66)
+    conn = random_connection(rng, ctx, 4)
+    target = [ctx.scalar(5) * random_scalar(rng, ctx) for _ in range(4)]
+    transports = []
+
+    def counted(*args):
+        transports.append(args)
+        return transport(*args)
+
+    monkeypatch.setattr(torelli, "transport", counted)
+    calls = _shape_counter(monkeypatch)
+    point = phi_invert(conn, target)
+    assert len(transports) >= 3
+    assert calls[6, 6, "RingMat"] == 4 * (truncation_degree(6, 5) - 2)
+    assert calls[(truncation_degree(6, 5) - 1) * 6, 6, "RingVec"] == 4 * len(transports)
+    assert conn.transport_stacks() is conn.transport_stacks()
+    # a second connection with the same matrices builds its own stacks
+    twin = ConnectionData(conn.frame, conn.matrices)
+    calls.clear()
+    assert phi_map(twin, point) == tuple(target)
+    assert calls[6, 6, "RingMat"] == 4 * (truncation_degree(6, 5) - 2)
 
 
 def test_phi_round_trip_at_rank_22():

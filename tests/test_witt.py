@@ -239,6 +239,14 @@ def test_context_json_fields_are_exact_integers():
             RingContext.from_json(bad)
 
 
+def test_context_arguments_are_exact_integers():
+    assert RingContext(np.int64(5), np.int64(3), np.int64(2)) == RingContext(5, 3, 2)
+    assert type(RingContext(np.int64(5), 3).pn) is int
+    for bad in ((5.0, 3), (5, 3, 1.0), (5, 3.0), ("5", 3), (True, 3), (5, 3, None)):
+        with pytest.raises(InputError, match="must be an integer"):
+            RingContext(*bad)
+
+
 def test_modulus_coefficients_are_exact_integers():
     # x^2 + 4x + 2 and x^2 + x + 2 are irreducible mod 5: only the types are wrong
     assert RingContext(5, 2, 2, (2, np.int64(4), 1)).modulus == (2, 4, 1)
