@@ -131,7 +131,7 @@ def _cmd_isotropic_lift(args, ctx):
             Random(args.seed), ctx, int_field(sample, "rank")
         )
     else:
-        if "lattice" in data:
+        if isinstance(data, dict) and "lattice" in data:
             lat = lattice_from_json(field(data, "lattice"), ctx)
         else:
             lat = lattice_from_json({"gram": field(data, "gram"), "ring": data.get("ring")}, ctx)

@@ -296,9 +296,7 @@ class QuadLattice:
         self.rank = g.rows
 
     def vector(self, entries) -> RingVec:
-        v = entries if isinstance(entries, RingVec) else RingVec.from_entries(self.ring, entries)
-        if v.ctx != self.ring:
-            raise ContextMismatch("vector does not match lattice")
+        v = RingVec.from_entries(self.ring, entries)
         if v.rank != self.rank:
             raise DimensionMismatch(f"vector length must be {self.rank}")
         return v

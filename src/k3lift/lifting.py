@@ -156,14 +156,9 @@ class SupersingularInput:
         self.lattice = lattice
         self.isometry = Isometry(lattice, matrix)
         res = ctx.residue_context()
-        if isinstance(hodge_line, RingVec):
-            if hodge_line.ctx == ctx:
-                hodge_line = hodge_line.reduce_mod_p()
-            elif hodge_line.ctx != res:
-                raise ContextMismatch("hodge line must live over the residue field")
-            self.hodge_line = hodge_line
-        else:
-            self.hodge_line = RingVec.from_entries(res, hodge_line)
+        if isinstance(hodge_line, RingVec) and hodge_line.ctx == ctx:
+            hodge_line = hodge_line.reduce_mod_p()
+        self.hodge_line = RingVec.from_entries(res, hodge_line)
         if self.hodge_line.rank != lattice.rank:
             raise DimensionMismatch("hodge line length must match lattice rank")
         if self.hodge_line.is_zero():

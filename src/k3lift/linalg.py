@@ -9,6 +9,16 @@ dimension 1 fits in a machine word, and object (Python ints) otherwise.
 The RingVec/RingMat constructor casts every array to that dtype, so every
 operation is exact and no array holds a mixture.
 
+RingVec and RingMat share one private base, _RingArray, which holds the
+constructor and every operation that does not depend on shape: +, -,
+negation, scale, ==, is_zero, valuation, reduce_mod_p, lift_to and
+frobenius, each acting entrywise on the coefficient array and returning
+the caller's own type.  The subclasses keep only what reads the shape:
+their constructors, indexing, transpose, the products and to_json.
+RingVec.from_entries and RingMat.from_rows are the one coercion of each:
+they return an array of the same context as it is and raise
+ContextMismatch for one of any other context.
+
 The product kernels compute directly on the stored arrays when
 m·k·(p^n-1)^2 < 2^63 for the call's inner dimension k (k = 1 for a scalar
 product), which no partial sum can then overflow.  Otherwise they cast
@@ -163,9 +173,10 @@ def _entry(ctx: RingContext, arr: np.ndarray, index) -> PadicScalar:
 # public containers
 
 
-class RingVec:
-    """Vector over a ring context; thin wrapper on a (m, r) array of reduced
-    coefficients in the context's storage dtype."""
+class _RingArray:
+    """Shape-free core of RingVec and RingMat: a degree-indexed array
+    (m, ...) of reduced coefficients in the context's storage dtype.  Every
+    operation here acts entrywise and returns the caller's own type."""
 
     __slots__ = ("ctx", "arr")
 
@@ -173,8 +184,79 @@ class RingVec:
         self.ctx = ctx
         self.arr = arr.astype(storage_dtype(ctx), copy=False)
 
+    def _check(self, other) -> None:
+        """other has this type, this context and this shape."""
+        if not isinstance(other, type(self)):
+            raise InputError(f"expected a {type(self).__name__}")
+        if other.ctx != self.ctx:
+            raise ContextMismatch(f"{other.ctx!r} vs {self.ctx!r}")
+        if other.arr.shape != self.arr.shape:
+            raise DimensionMismatch(f"shape {other.arr.shape[1:]} vs {self.arr.shape[1:]}")
+
+    def __add__(self, other):
+        self._check(other)
+        return type(self)(self.ctx, (self.arr + other.arr) % self.ctx.pn)
+
+    def __sub__(self, other):
+        self._check(other)
+        return type(self)(self.ctx, (self.arr - other.arr) % self.ctx.pn)
+
+    def __neg__(self):
+        return type(self)(self.ctx, (-self.arr) % self.ctx.pn)
+
+    def scale(self, s):
+        s = self.ctx.scalar(s)
+        return type(self)(self.ctx, _scal_arrays(self.ctx, s.coeffs, self.arr))
+
+    def __rmul__(self, s):
+        return self.scale(s)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, type(self))
+            and other.ctx == self.ctx
+            and other.arr.shape == self.arr.shape
+            and bool((other.arr == self.arr).all())
+        )
+
+    def is_zero(self) -> bool:
+        return bool((self.arr == 0).all())
+
+    def valuation(self) -> int:
+        """Minimum valuation over the entries (n for zero)."""
+        p, a, v = self.ctx.p, self.arr, 0
+        while v < self.ctx.n and not (a % p).any():
+            a, v = a // p, v + 1
+        return v
+
+    def reduce_mod_p(self):
+        res = self.ctx.residue_context()
+        return type(self)(res, _into(res, self.arr))
+
+    def lift_to(self, ctx: RingContext):
+        if ctx.p != self.ctx.p or ctx.m != self.ctx.m:
+            raise ContextMismatch("lift across incompatible contexts")
+        return type(self)(ctx, _into(ctx, self.arr))
+
+    def frobenius(self):
+        return type(self)(self.ctx, _frobenius_array(self.ctx, self.arr))
+
+
+class RingVec(_RingArray):
+    """Vector over a ring context; thin wrapper on a (m, r) array of reduced
+    coefficients in the context's storage dtype."""
+
+    __slots__ = ()
+
     @classmethod
     def from_entries(cls, ctx: RingContext, entries) -> "RingVec":
+        """Coerce a list of scalars, or a RingVec of this context (returned
+        as it is); a RingVec of any other context raises ContextMismatch.
+        The one vector coercion of every constructor."""
+        if isinstance(entries, RingVec):
+            if entries.ctx != ctx:
+                raise ContextMismatch(f"{entries.ctx!r} vs {ctx!r}")
+            return entries
         if not isinstance(entries, (list, tuple)):
             raise InputError("a vector must be a list of entries")
         coeffs = [ctx.scalar(e).coeffs for e in entries]
@@ -201,75 +283,18 @@ class RingVec:
     def entries(self) -> list[PadicScalar]:
         return [self.entry(i) for i in range(self.rank)]
 
-    def _check(self, other: "RingVec") -> None:
-        if not isinstance(other, RingVec):
-            raise InputError("expected a RingVec")
-        if other.ctx != self.ctx:
-            raise ContextMismatch(f"{other.ctx!r} vs {self.ctx!r}")
-        if other.rank != self.rank:
-            raise DimensionMismatch(f"rank {other.rank} vs {self.rank}")
-
-    def __add__(self, other: "RingVec") -> "RingVec":
-        self._check(other)
-        return RingVec(self.ctx, (self.arr + other.arr) % self.ctx.pn)
-
-    def __sub__(self, other: "RingVec") -> "RingVec":
-        self._check(other)
-        return RingVec(self.ctx, (self.arr - other.arr) % self.ctx.pn)
-
-    def __neg__(self) -> "RingVec":
-        return RingVec(self.ctx, (-self.arr) % self.ctx.pn)
-
-    def scale(self, s) -> "RingVec":
-        s = self.ctx.scalar(s)
-        return RingVec(self.ctx, _scal_arrays(self.ctx, s.coeffs, self.arr))
-
-    def __rmul__(self, s) -> "RingVec":
-        return self.scale(s)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RingVec)
-            and other.ctx == self.ctx
-            and other.arr.shape == self.arr.shape
-            and bool((other.arr == self.arr).all())
-        )
-
     def __repr__(self) -> str:
         return f"RingVec({[s.coeffs if self.ctx.m > 1 else s.coeffs[0] for s in self.entries()]})"
-
-    def is_zero(self) -> bool:
-        return bool((self.arr == 0).all())
-
-    def valuation(self) -> int:
-        """Minimum valuation over the entries (n for the zero vector)."""
-        return min((e.valuation() for e in self.entries()), default=self.ctx.n)
-
-    def reduce_mod_p(self) -> "RingVec":
-        res = self.ctx.residue_context()
-        return RingVec(res, _into(res, self.arr))
-
-    def lift_to(self, ctx: RingContext) -> "RingVec":
-        if ctx.p != self.ctx.p or ctx.m != self.ctx.m:
-            raise ContextMismatch("lift across incompatible contexts")
-        return RingVec(ctx, _into(ctx, self.arr))
-
-    def frobenius(self) -> "RingVec":
-        return RingVec(self.ctx, _frobenius_array(self.ctx, self.arr))
 
     def to_json(self) -> list[list[int]]:
         return [list(s.coeffs) for s in self.entries()]
 
 
-class RingMat:
+class RingMat(_RingArray):
     """Matrix over a ring context; wraps a (m, rows, cols) array of reduced
     coefficients in the context's storage dtype."""
 
-    __slots__ = ("ctx", "arr")
-
-    def __init__(self, ctx: RingContext, arr: np.ndarray):
-        self.ctx = ctx
-        self.arr = arr.astype(storage_dtype(ctx), copy=False)
+    __slots__ = ()
 
     @classmethod
     def from_rows(cls, ctx: RingContext, rows) -> "RingMat":
@@ -332,47 +357,19 @@ class RingMat:
     def row(self, i: int) -> RingVec:
         return RingVec(self.ctx, self.arr[:, i, :].copy())
 
-    def _check(self, other: "RingMat") -> None:
-        if not isinstance(other, RingMat):
-            raise InputError("expected a RingMat")
-        if other.ctx != self.ctx:
-            raise ContextMismatch(f"{other.ctx!r} vs {self.ctx!r}")
-
-    def __add__(self, other: "RingMat") -> "RingMat":
-        self._check(other)
-        if other.arr.shape != self.arr.shape:
-            raise DimensionMismatch("matrix shapes differ")
-        return RingMat(self.ctx, (self.arr + other.arr) % self.ctx.pn)
-
-    def __sub__(self, other: "RingMat") -> "RingMat":
-        self._check(other)
-        if other.arr.shape != self.arr.shape:
-            raise DimensionMismatch("matrix shapes differ")
-        return RingMat(self.ctx, (self.arr - other.arr) % self.ctx.pn)
-
-    def __neg__(self) -> "RingMat":
-        return RingMat(self.ctx, (-self.arr) % self.ctx.pn)
-
     def __matmul__(self, other):
         if isinstance(other, RingMat):
-            self._check(other)
-            if self.cols != other.rows:
-                raise DimensionMismatch(f"{self.cols} vs {other.rows}")
-            return RingMat(self.ctx, _mul_arrays(self.ctx, self.arr, other.arr))
-        if isinstance(other, RingVec):
-            if other.ctx != self.ctx:
-                raise ContextMismatch(f"{other.ctx!r} vs {self.ctx!r}")
-            if self.cols != other.rank:
-                raise DimensionMismatch(f"{self.cols} vs {other.rank}")
-            return RingVec(self.ctx, _matvec_arrays(self.ctx, self.arr, other.arr))
-        return NotImplemented
-
-    def scale(self, s) -> "RingMat":
-        s = self.ctx.scalar(s)
-        return RingMat(self.ctx, _scal_arrays(self.ctx, s.coeffs, self.arr))
-
-    def __rmul__(self, s) -> "RingMat":
-        return self.scale(s)
+            product = _mul_arrays
+        elif isinstance(other, RingVec):
+            product = _matvec_arrays
+        else:
+            return NotImplemented
+        if other.ctx != self.ctx:
+            raise ContextMismatch(f"{other.ctx!r} vs {self.ctx!r}")
+        k = other.arr.shape[1]
+        if self.cols != k:
+            raise DimensionMismatch(f"{self.cols} vs {k}")
+        return type(other)(self.ctx, product(self.ctx, self.arr, other.arr))
 
     def __pow__(self, e: int) -> "RingMat":
         if self.rows != self.cols:
@@ -388,37 +385,14 @@ class RingMat:
             e >>= 1
         return result
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RingMat)
-            and other.ctx == self.ctx
-            and other.arr.shape == self.arr.shape
-            and bool((other.arr == self.arr).all())
-        )
-
     def __repr__(self) -> str:
         return f"RingMat({self.rows}x{self.cols} over {self.ctx!r})"
 
     def transpose(self) -> "RingMat":
         return RingMat(self.ctx, self.arr.transpose(0, 2, 1).copy())
 
-    def is_zero(self) -> bool:
-        return bool((self.arr == 0).all())
-
     def is_symmetric(self) -> bool:
         return bool((self.arr == self.arr.transpose(0, 2, 1)).all())
-
-    def reduce_mod_p(self) -> "RingMat":
-        res = self.ctx.residue_context()
-        return RingMat(res, _into(res, self.arr))
-
-    def lift_to(self, ctx: RingContext) -> "RingMat":
-        if ctx.p != self.ctx.p or ctx.m != self.ctx.m:
-            raise ContextMismatch("lift across incompatible contexts")
-        return RingMat(ctx, _into(ctx, self.arr))
-
-    def frobenius(self) -> "RingMat":
-        return RingMat(self.ctx, _frobenius_array(self.ctx, self.arr))
 
     def to_json(self) -> list[list[list[int]]]:
         return [
@@ -480,10 +454,10 @@ def is_unimodular(mat: RingMat) -> bool:
 
 def solve(a: RingMat, b):
     """Solve a X = b for an invertible square a; raises NonUnitPivot.
-    b may be a RingMat or a RingVec (then the result is a RingVec)."""
+    b may be a RingVec (then the result is a RingVec) or any matrix that
+    RingMat.from_rows takes."""
     vec = isinstance(b, RingVec)
-    rhs = RingMat.from_columns(a.ctx, [b]) if vec else b
-    a._check(rhs)
+    rhs = RingMat.from_columns(a.ctx, [b]) if vec else RingMat.from_rows(a.ctx, b)
     if a.rows != a.cols or rhs.rows != a.rows:
         raise DimensionMismatch("solve needs square a with matching b")
     r, k = a.rows, rhs.cols
@@ -537,6 +511,8 @@ def solve_in_span(basis: list[RingVec], target: RingVec) -> list[PadicScalar] | 
         return None if not target.is_zero() else []
     ctx = target.ctx
     bmat = RingMat.from_columns(ctx, basis)
+    if bmat.rows != target.rank:
+        raise DimensionMismatch(f"basis rank {bmat.rows} vs target rank {target.rank}")
     work = np.concatenate([bmat.arr, target.arr[:, :, None]], axis=2)
     pivots, nrows = _rref_unit(ctx, work)
     k = len(basis)
@@ -559,14 +535,3 @@ def independent_columns(mat: RingMat) -> list[int]:
     work = red.arr.copy()
     pivots, _ = _rref_unit(red.ctx, work)
     return pivots
-
-
-def matrix_valuation(mat: RingMat) -> int:
-    """Minimum valuation over all entries (n for the zero matrix)."""
-    v = mat.ctx.n
-    for i in range(mat.rows):
-        for j in range(mat.cols):
-            v = min(v, mat.entry(i, j).valuation())
-            if v == 0:
-                return 0
-    return v

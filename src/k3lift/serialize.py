@@ -15,7 +15,7 @@ import json
 import math
 from typing import Any, IO
 
-from .errors import InputError, field
+from .errors import InputError, field, list_field
 from .witt import PadicScalar, RingContext
 from .linalg import RingMat, RingVec
 from .lattice import QuadLattice
@@ -141,5 +141,5 @@ def point_from_json(ctx: RingContext, data) -> DeformationPoint:
 
 def connection_from_json(data: dict, ctx: RingContext | None = None) -> ConnectionData:
     frame = frame_from_json(field(data, "frame"), ctx)
-    mats = [matrix_from_json(frame.ctx, mj, frame.rank) for mj in field(data, "matrices")]
+    mats = [matrix_from_json(frame.ctx, mj, frame.rank) for mj in list_field(data, "matrices")]
     return ConnectionData(frame, mats)

@@ -170,6 +170,19 @@ def test_isotropic_lift_precondition_failure():
     assert err_json(proc)["code"] == "NotNearIsotropic"
 
 
+@pytest.mark.parametrize("payload", [5, None, True])
+def test_isotropic_lift_non_object_payload_exit_1(payload):
+    proc = run_cli(["isotropic-lift"], payload if payload is not None else "null")
+    assert proc.returncode == 1
+    stderr = proc.stderr.decode()
+    assert "Traceback" not in stderr
+    assert stderr.count("\n") == 1
+    assert json.loads(stderr) == {
+        "code": "InputError", "message": "payload is missing required field 'gram'"
+    }
+    assert proc.stdout == b""
+
+
 # -- period-complete ----------------------------------------------------------------
 
 
@@ -362,6 +375,21 @@ def test_verify_corrupted_certificate_exit_2():
     assert out["valid"] is False
 
 
+def test_verify_membership_basis_of_wrong_rank_exit_2():
+    # a basis vector of length 3 against a rank-2 generator is a failed claim
+    data = _nonsymplectic_cert().to_json()
+    data["transcript"].append({"claim": "membership", "basis": [[1, 2, 3]], "label": "probe"})
+    proc = run_cli(["verify"], data)
+    assert proc.returncode == 2
+    assert proc.stderr == b""
+    out = out_json(proc)
+    assert out["valid"] is False
+    assert out["checks"][-1] == {
+        "claim": "membership", "ok": False,
+        "detail": "re-verification error: basis rank 3 vs target rank 2",
+    }
+
+
 @pytest.mark.parametrize(
     "payload, missing",
     [({"ring": {"p": 5, "n": 3, "m": 1}}, "branch"), ([1, 2], "ring")],
@@ -420,6 +448,7 @@ _BRANCH_MESSAGE = "field 'branch' must be one of finite-height, ss-nonsymplectic
         (None, "branch", None, _BRANCH_MESSAGE),
         (None, "branch", [1], _BRANCH_MESSAGE),
         (None, "branch", "no-such-branch", _BRANCH_MESSAGE),
+        ("phi-map", "connection.matrices", 5, "field 'matrices' must be a list"),
     ],
 )
 def test_wrong_typed_field_exit_1(mode, key, value, message):

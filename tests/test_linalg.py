@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from k3lift import (
+    ContextMismatch,
     DimensionMismatch,
+    InputError,
     Isometry,
     NonUnitPivot,
     PrecisionLoss,
@@ -21,7 +23,6 @@ from k3lift import (
     inverse,
     is_unimodular,
     kernel,
-    matrix_valuation,
     residue_rank,
     solve,
     solve_in_span,
@@ -137,14 +138,17 @@ def test_solve_in_span():
     assert solve_in_span([b1, b2], RingVec.from_entries(C, [0, 0, 1])) is None
 
 
+def test_solve_in_span_rejects_a_basis_of_another_rank():
+    basis = [RingVec.from_entries(C, [1, 2])]
+    with pytest.raises(DimensionMismatch, match="basis rank 2 vs target rank 3"):
+        solve_in_span(basis, RingVec.from_entries(C, [1, 2, 0]))
+    with pytest.raises(DimensionMismatch):
+        solve_in_span(basis, RingVec.from_entries(C, [1]))
+
+
 def test_independent_columns():
     a = _mat(C, [[1, 2, 0], [0, 0, 1], [0, 0, 0]])
     assert independent_columns(a) == [0, 2]
-
-
-def test_matrix_valuation():
-    assert matrix_valuation(_mat(C, [[25, 0], [0, 5]])) == 1
-    assert matrix_valuation(RingMat.zeros(C, 2, 2)) == C.n
 
 
 def test_transpose_and_symmetry():
@@ -189,6 +193,82 @@ def test_json_round_trip():
     assert RingMat.from_rows(C, a.to_json()) == a
     v = RingVec.from_entries(C, [1, 2])
     assert RingVec.from_entries(C, v.to_json()) == v
+
+
+# -- the shared core of RingVec and RingMat -----------------------------------------
+
+
+def _build(kind, ctx, flat):
+    """A RingVec of length 6 or a 2 x 3 RingMat from six scalars."""
+    if kind is RingVec:
+        return RingVec.from_entries(ctx, flat)
+    return RingMat.from_rows(ctx, [flat[:3], flat[3:]])
+
+
+def _flat_entries(x):
+    if isinstance(x, RingVec):
+        return x.entries()
+    return [x.entry(i, j) for i in range(x.rows) for j in range(x.cols)]
+
+
+def _same(x, kind, ctx, scalars):
+    assert type(x) is kind and x.ctx == ctx
+    assert x.arr.dtype == linalg.storage_dtype(ctx)
+    assert _flat_entries(x) == scalars
+
+
+@pytest.mark.parametrize("spec", [(5, 3, 1), (5, 3, 2), (3, 40, 1)], ids=["int64", "m2", "object"])
+@pytest.mark.parametrize("kind", [RingVec, RingMat], ids=["RingVec", "RingMat"])
+def test_shared_core_matches_entrywise_oracle(kind, spec):
+    ctx = RingContext(*spec)
+    p, res = ctx.p, ctx.residue_context()
+    rng = random.Random(str(spec))
+    xs = [ctx.scalar([rng.randrange(ctx.pn) for _ in range(ctx.m)]) for _ in range(6)]
+    ys = [ctx.scalar([rng.randrange(ctx.pn) for _ in range(ctx.m)]) for _ in range(6)]
+    s = ctx.scalar([rng.randrange(ctx.pn) for _ in range(ctx.m)])
+    a, b = _build(kind, ctx, xs), _build(kind, ctx, ys)
+    zero = ctx.zero()
+    _same(a + b, kind, ctx, [x + y for x, y in zip(xs, ys)])
+    _same(a - b, kind, ctx, [x - y for x, y in zip(xs, ys)])
+    _same(-a, kind, ctx, [-x for x in xs])
+    _same(a.scale(s), kind, ctx, [s * x for x in xs])
+    _same(s * a, kind, ctx, [s * x for x in xs])
+    _same(3 * a, kind, ctx, [3 * x for x in xs])
+    _same(a.frobenius(), kind, ctx, [x.frobenius() for x in xs])
+    red = a.reduce_mod_p()
+    _same(red, kind, res, [x.reduce() for x in xs])
+    _same(red.lift_to(ctx), kind, ctx, [ctx.lift(r) for r in _flat_entries(red)])
+    higher = RingContext(p, ctx.n + 2, ctx.m, ctx.modulus)
+    _same(a.lift_to(higher), kind, higher, [higher.lift(x) for x in xs])
+    assert a == _build(kind, ctx, list(xs)) and a != b and a != _build(kind, ctx, xs[::-1])
+    assert (a - a).is_zero() and not a.is_zero()
+    # valuation: the minimum over the entries, n for zero
+    assert a.valuation() == min(x.valuation() for x in xs)
+    assert a.scale(p**2).valuation() == min((p**2 * x).valuation() for x in xs)
+    assert _build(kind, ctx, [p**2, 0, p, 0, 0, p**3]).valuation() == 1
+    assert _build(kind, ctx, [zero] * 6).valuation() == ctx.n
+    # errors: the other kind, another shape, another context
+    other = _build(RingMat if kind is RingVec else RingVec, ctx, xs)
+    with pytest.raises(InputError):
+        a + other
+    with pytest.raises(InputError):
+        other - a
+    shorter = RingVec.from_entries(ctx, xs[:5]) if kind is RingVec else RingMat.from_rows(ctx, [xs[:3]])
+    with pytest.raises(DimensionMismatch):
+        a + shorter
+    with pytest.raises(DimensionMismatch):
+        a - shorter
+    with pytest.raises(ContextMismatch):
+        a + a.lift_to(higher)
+    with pytest.raises(ContextMismatch):
+        a.lift_to(RingContext(7, ctx.n, 1))
+    # coercion: an array of ctx is returned as it is, a foreign one refused
+    coerce = RingVec.from_entries if kind is RingVec else RingMat.from_rows
+    assert coerce(ctx, a) is a
+    with pytest.raises(ContextMismatch):
+        coerce(ctx, a.lift_to(higher))
+    with pytest.raises(ContextMismatch):
+        coerce(res, a)
 
 
 # -- int64 kernels and the rank-1 elimination update ---------------------------------

@@ -1,6 +1,7 @@
 """Repository-level checks: no assert statements, no float constants and
-no RingMat isinstance test outside linalg in the package, and the
-benchmark harness runs end to end."""
+no RingMat isinstance test outside linalg in the package, one home for
+each shape-free ring-array operation, and the benchmark harness runs end
+to end."""
 
 import ast
 import json
@@ -49,6 +50,25 @@ def test_matrix_coercion_has_one_home():
     # RingMat.from_rows is the only place that tells a RingMat from rows
     found = _package_nodes(_isinstance_of_ringmat)
     assert [f for f in found if not f.startswith("linalg.py:")] == []
+
+
+def _linalg_methods():
+    tree = ast.parse((PACKAGE / "linalg.py").read_text(encoding="utf-8"))
+    return {
+        node.name: {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+        for node in tree.body if isinstance(node, ast.ClassDef)
+    }
+
+
+def test_ring_array_operations_have_one_home():
+    # the shape-free operations live once, in _RingArray; RingMat keeps its
+    # own __matmul__, which perfbench/tracing.py wraps through vars(RingMat)
+    methods = _linalg_methods()
+    core = methods["_RingArray"]
+    assert {"__add__", "__sub__", "__eq__", "valuation", "lift_to"} <= core
+    assert methods["RingVec"] & core == set()
+    assert methods["RingMat"] & core == set()
+    assert "__matmul__" in methods["RingMat"]
 
 
 def test_benchmark_harness_smoke():
