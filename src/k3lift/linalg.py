@@ -28,13 +28,22 @@ result back to the storage dtype.  Moving an array to another context
 the target stores Python ints, and narrows it after.  Entries leave as
 Python ints: entry(), entries() and to_json() never expose numpy scalars.
 
-Gaussian elimination only ever divides by units.  Every product in one
-elimination sweep has inner dimension 1, so the sweep runs in the storage
-dtype.  Over the residue field (precision 1) every nonzero scalar is a
-unit, so the same sweep computes ranks and kernels there.  At precision n
-a row with no unit entry is a "defect" row: all of its entries have
-positive valuation, and a nonzero defect row means the answer depends on
-digits beyond the working precision.
+Elimination runs over the residue field only.  A unit at precision n is
+exactly an entry that is nonzero mod p, so one Gauss-Jordan sweep of the
+reduction mod p finds the same pivots, ranks and residually independent
+columns that a sweep at precision n would.  For q <= 256 the sweep works on
+F_q elements encoded as integers 0 .. q-1, through q x q multiply and
+subtract tables that each residue context builds once, on first use; above
+that it works on coefficient arrays.  Full precision then comes from
+products.  The same sweep yields the inverse mod p of the pivot block B_PQ
+(pivot rows P, pivot columns Q), and Newton's X <- X (2 - B X) lifts it to
+p^n in ceil(log2 n) steps (Dixon, Numer. Math. 40, 1982).  solve and
+inverse multiply by it.  kernel returns e_f - B_PQ^-1 B_Pf for each free
+column f and raises PrecisionLoss unless the matrix annihilates these
+vectors exactly: otherwise a "defect" row is nonzero, all of its entries
+have positive valuation, and the kernel depends on digits beyond the
+working precision.  solve_in_span returns B_P^-1 target_P when one product
+confirms B x = target.
 """
 
 from __future__ import annotations
@@ -335,8 +344,10 @@ class RingMat(_RingArray):
         r = vecs[0].rank
         arr = np.zeros((ctx.m, r, len(vecs)), dtype=storage_dtype(ctx))
         for j, v in enumerate(vecs):
-            if v.ctx != ctx or v.rank != r:
-                raise ContextMismatch("column context/rank mismatch")
+            if v.ctx != ctx:
+                raise ContextMismatch(f"column {j}: {v.ctx!r} vs {ctx!r}")
+            if v.rank != r:
+                raise DimensionMismatch(f"column {j} has rank {v.rank} vs {r}")
             arr[:, :, j] = v.arr
         return cls(ctx, arr)
 
@@ -404,46 +415,166 @@ class RingMat(_RingArray):
 # ---------------------------------------------------------------------------
 # elimination
 
+# Largest residue field that gets multiply/subtract tables: the largest odd
+# prime power below it is 3^5 = 243, so the two q x q intp tables stay
+# under 1 MB together.
+_TABLE_MAX_Q = 256
 
-def _rref_unit(ctx: RingContext, work: np.ndarray) -> tuple[list[int], int]:
-    """In-place Gauss-Jordan sweep using unit pivots only.
 
-    Returns (pivot column list, number of pivot rows).  Rows beyond the pivot
-    count end with every entry of positive valuation.  Each pivot clears its
-    column with one rank-1 update, work - f (x) pivot row, where f is the
-    column with the pivot row's own factor zeroed.  Every product in the
-    sweep has inner dimension 1, so the sweep runs on work in the storage
-    dtype.
+class _FieldTables:
+    """Arithmetic of F_q on codes: the element with coefficients
+    (c_0, ..., c_{m-1}) is the integer sum c_d p^d in 0 .. q-1.  mul and sub
+    are q x q tables, inv maps each nonzero code to its inverse (and 0 to
+    0), digits is the (m, q) coefficient array of every code."""
+
+    __slots__ = ("mul", "sub", "inv", "place", "digits")
+
+    def __init__(self, res: RingContext):
+        p, m = res.p, res.m
+        self.place = p ** np.arange(m, dtype=np.intp)
+        self.digits = (np.arange(res.q, dtype=np.intp) // self.place[:, None]) % p
+        d = self.digits
+        self.mul = np.tensordot(self.place, _mul_native(res, d[:, :, None], d[:, None, :]), axes=1)
+        self.sub = np.tensordot(self.place, (d[:, :, None] - d[:, None, :]) % p, axes=1)
+        self.inv = np.argmax(self.mul == 1, axis=1)
+
+    def encode(self, arr: np.ndarray) -> np.ndarray:
+        """Codes (1, r, c) of a residue coefficient array (m, r, c)."""
+        _, r, c = arr.shape
+        return np.dot(self.place, arr.reshape(len(self.place), r * c)).reshape(1, r, c)
+
+    def decode(self, codes: np.ndarray) -> np.ndarray:
+        return self.digits[:, codes[0]]
+
+
+def _field_tables(res: RingContext) -> _FieldTables | None:
+    """The code tables of the residue field of res, built on first use and
+    kept on the context; None when q > _TABLE_MAX_Q."""
+    if res.q > _TABLE_MAX_Q:
+        return None
+    tables = res._field_tables
+    if tables is None:
+        tables = res._field_tables = _FieldTables(res)
+    return tables
+
+
+def _residue_sweep(
+    res: RingContext, arr: np.ndarray, ncols: int
+) -> tuple[list[int], list[int], np.ndarray]:
+    """Gauss-Jordan sweep of a coefficient array (m, r, c) of the residue
+    field res.
+
+    Pivots come from the first ncols columns only, each the first nonzero
+    entry at or below the current row; every row operation acts on all c
+    columns.  Returns (pivot columns, row order, reduced array), where row
+    order[i] is the row of arr that the sweep moved to row i.  Each pivot
+    clears its column with one rank-1 update, work - f (x) pivot row, where
+    f is the column with the pivot row's own entry zeroed.  With q <=
+    _TABLE_MAX_Q the sweep runs on codes, so that update is two table
+    lookups; above it the sweep runs on coefficients through _mul_native.
     """
-    _, r, c = work.shape
-    p, pn = ctx.p, ctx.pn
+    tables = _field_tables(res)
+    if tables is None:
+        work = arr.copy()
+
+        def normalize(cur, col):
+            inv = _entry(res, work, (cur, col)).inverse().coeffs
+            work[:, cur, :] = _scal_native(res, inv, work[:, cur, :])
+
+        def eliminate(f, cur):
+            work[...] = (work - _mul_native(res, f[:, :, None], work[:, cur : cur + 1, :])) % res.p
+
+    else:
+        mul, sub, inv = tables.mul, tables.sub, tables.inv
+        work = tables.encode(arr)
+
+        def normalize(cur, col):
+            work[:, cur, :] = mul[inv[work[0, cur, col]], work[:, cur, :]]
+
+        def eliminate(f, cur):
+            work[...] = sub[work, mul[f[:, :, None], work[:, cur : cur + 1, :]]]
+
+    r = work.shape[1]
     pivots: list[int] = []
-    cur = 0
-    for col in range(c):
-        units = np.flatnonzero((work[:, cur:, col] % p != 0).any(axis=0))
-        if not units.size:
-            continue
-        piv = cur + int(units[0])
+    rows = list(range(r))
+    cur = col = 0
+    while cur < r and col < ncols:
+        # the next pivot: the first column from col on with a nonzero entry
+        # at or below row cur, and its first such row
+        nonzero = (work[:, cur:, col:ncols] != 0).any(axis=0)
+        found = nonzero.any(axis=0)
+        step = int(found.argmax())
+        if not found[step]:
+            break
+        col += step
+        piv = cur + int(nonzero[:, step].argmax())
         if piv != cur:
             work[:, [cur, piv], :] = work[:, [piv, cur], :]
-        inv = _entry(ctx, work, (cur, col)).inverse().coeffs
-        work[:, cur, :] = _scal_native(ctx, inv, work[:, cur, :])
+            rows[cur], rows[piv] = rows[piv], rows[cur]
+        normalize(cur, col)
         f = work[:, :, col].copy()
         f[:, cur] = 0
-        work[...] = (work - _mul_native(ctx, f[:, :, None], work[:, cur : cur + 1, :])) % pn
+        eliminate(f, cur)
         pivots.append(col)
         cur += 1
-        if cur == r:
-            break
-    return pivots, cur
+        col += 1
+    return pivots, rows, work if tables is None else tables.decode(work)
+
+
+def _pivot_block(ctx: RingContext, arr: np.ndarray, ncols: int):
+    """Pivots of the reduction mod p of arr (m, r, c), from its first ncols
+    columns, and the residue inverse of the pivot block.
+
+    Returns (pivot columns Q, pivot rows P, X) with X arr[P, Q] = 1 mod p,
+    X a coefficient array of the residue field.  The sweep runs on
+    [arr mod p | 1]: the right half ends as a transform T with T (arr mod p)
+    reduced, and the rows of T that carry a pivot are combinations of the
+    rows P alone, so X = T[:k, P].
+    """
+    res = ctx.residue_context()
+    m, r, c = arr.shape
+    red = _into(res, arr).astype(storage_dtype(res), copy=False)
+    eye = np.zeros((m, r, r), dtype=red.dtype)
+    eye[0] = np.eye(r, dtype=red.dtype)
+    pivots, rows, work = _residue_sweep(res, np.concatenate([red, eye], axis=2), ncols)
+    k = len(pivots)
+    prow = rows[:k]
+    return pivots, prow, work[:, :k, [c + i for i in prow]]
+
+
+def _newton_inverse(ctx: RingContext, block: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Inverse of a square coefficient array block of ctx from its inverse
+    x mod p: X <- X (2 - block X) doubles the p-adic precision of X (Dixon
+    1982), so ceil(log2 n) steps reach p^n.  Each step works at the
+    precision it reaches, so every step but the last may multiply in int64
+    where p^n would need Python ints."""
+    diag = np.arange(x.shape[1])
+    e = 1
+    while e < ctx.n:
+        e = min(2 * e, ctx.n)
+        step = ctx.with_precision(e)
+        x = _into(step, x)
+        residual = -_mul_arrays(step, _into(step, block), x)
+        residual[0, diag, diag] += 2
+        x = _mul_arrays(step, x, residual % step.pn)
+    return x
+
+
+def _inverse_array(a: RingMat) -> np.ndarray:
+    """Coefficient array of a^-1; raises NonUnitPivot."""
+    pivots, prow, x = _pivot_block(a.ctx, a.arr, a.cols)
+    if pivots != list(range(a.rows)):
+        raise NonUnitPivot("matrix is not invertible over the local ring")
+    # x inverts a's rows in the order P, so a^-1 is x with its columns put back
+    x = _newton_inverse(a.ctx, a.arr[:, prow, :], x)
+    inv = np.empty_like(x)
+    inv[:, :, prow] = x
+    return inv
 
 
 def residue_rank(mat: RingMat) -> int:
     """Rank of the reduction mod p."""
-    red = mat.reduce_mod_p()
-    work = red.arr.copy()
-    pivots, _ = _rref_unit(red.ctx, work)
-    return len(pivots)
+    return len(independent_columns(mat))
 
 
 def is_unimodular(mat: RingMat) -> bool:
@@ -460,17 +591,14 @@ def solve(a: RingMat, b):
     rhs = RingMat.from_columns(a.ctx, [b]) if vec else RingMat.from_rows(a.ctx, b)
     if a.rows != a.cols or rhs.rows != a.rows:
         raise DimensionMismatch("solve needs square a with matching b")
-    r, k = a.rows, rhs.cols
-    work = np.concatenate([a.arr, rhs.arr], axis=2)
-    pivots, _ = _rref_unit(a.ctx, work)
-    if pivots != list(range(r)):
-        raise NonUnitPivot("matrix is not invertible over the local ring")
-    out = RingMat(a.ctx, work[:, :, r : r + k].copy())
+    out = RingMat(a.ctx, _mul_arrays(a.ctx, _inverse_array(a), rhs.arr))
     return out.column(0) if vec else out
 
 
 def inverse(a: RingMat) -> RingMat:
-    return solve(a, RingMat.identity(a.ctx, a.rows))
+    if a.rows != a.cols:
+        raise DimensionMismatch("inverse needs a square matrix")
+    return RingMat(a.ctx, _inverse_array(a))
 
 
 def kernel(mat: RingMat) -> list[RingVec]:
@@ -478,34 +606,36 @@ def kernel(mat: RingMat) -> list[RingVec]:
 
     Only defined when elimination terminates with unit pivots and exactly
     zero defect rows; otherwise the kernel rank depends on digits beyond the
-    precision and PrecisionLoss is raised.
+    precision and PrecisionLoss is raised.  For each free column f the basis
+    vector is e_f - mat[P, Q]^-1 mat[P, f] over the pivot rows P and pivot
+    columns Q; the defect rows vanish exactly when mat times these vectors
+    does.
     """
-    work = mat.arr.copy()
-    pivots, nrows = _rref_unit(mat.ctx, work)
-    if not bool((work[:, nrows:, :] == 0).all()):
+    ctx, arr = mat.ctx, mat.arr
+    pivots, prow, x = _pivot_block(ctx, arr, mat.cols)
+    free = [j for j in range(mat.cols) if j not in pivots]
+    bp = arr[:, prow, :]
+    x = _newton_inverse(ctx, bp[:, :, pivots], x)
+    basis = np.zeros((ctx.m, mat.cols, len(free)), dtype=arr.dtype)
+    basis[0, free, np.arange(len(free))] = 1
+    basis[:, pivots, :] = (-_mul_arrays(ctx, x, bp[:, :, free])) % ctx.pn
+    if _mul_arrays(ctx, arr, basis).any():
         raise PrecisionLoss(
             "kernel is not determined at this precision: "
             "a nonzero relation row has no unit entry"
         )
-    free = [j for j in range(mat.cols) if j not in pivots]
-    basis = []
-    for f in free:
-        v = RingVec.zeros(mat.ctx, mat.cols)
-        v.arr[0, f] = 1
-        for i, pcol in enumerate(pivots):
-            v.arr[:, pcol] = (-work[:, i, f]) % mat.ctx.pn
-        basis.append(v)
-    return basis
+    return [RingVec(ctx, basis[:, :, j].copy()) for j in range(len(free))]
 
 
 def solve_in_span(basis: list[RingVec], target: RingVec) -> list[PadicScalar] | None:
     """Coordinates of target in the span of a residually independent basis,
     or None when target is outside the span at this precision.
 
-    One unit-pivot sweep of [B | target] decides both: the sweep mirrors
-    elimination mod p, so B is residually independent exactly when each of
-    its k columns gets a pivot, and target lies outside the span when its
-    own column does.
+    One residue sweep of [B | target] decides independence: B is residually
+    independent exactly when each of its k columns gets a pivot, and target
+    lies outside the span mod p when its own column does.  Otherwise the
+    coordinates are x = B[P]^-1 target[P] over the pivot rows P, and target
+    lies in the span exactly when B x = target.
     """
     if not basis:
         return None if not target.is_zero() else []
@@ -513,25 +643,22 @@ def solve_in_span(basis: list[RingVec], target: RingVec) -> list[PadicScalar] | 
     bmat = RingMat.from_columns(ctx, basis)
     if bmat.rows != target.rank:
         raise DimensionMismatch(f"basis rank {bmat.rows} vs target rank {target.rank}")
-    work = np.concatenate([bmat.arr, target.arr[:, :, None]], axis=2)
-    pivots, nrows = _rref_unit(ctx, work)
     k = len(basis)
+    t = target.arr[:, :, None]
+    pivots, prow, x = _pivot_block(ctx, np.concatenate([bmat.arr, t], axis=2), k + 1)
     if pivots[:k] != list(range(k)):
         raise PrecisionLoss("span basis must be residually independent")
     if len(pivots) > k:
         return None
-    if not bool((work[:, nrows:, :] == 0).all()):
+    x = _newton_inverse(ctx, bmat.arr[:, prow, :], x)
+    coords = _mul_arrays(ctx, x, t[:, prow, :])
+    if not bool((_mul_arrays(ctx, bmat.arr, coords) == t).all()):
         return None
-    coords = [ctx.zero()] * k
-    for i, pc in enumerate(pivots):
-        coords[pc] = _entry(ctx, work, (i, k))
-    return coords
+    return [_entry(ctx, coords, (i, 0)) for i in range(k)]
 
 
 def independent_columns(mat: RingMat) -> list[int]:
     """Indices of a maximal residually independent set of columns
     (lexicographically first, hence deterministic)."""
     red = mat.reduce_mod_p()
-    work = red.arr.copy()
-    pivots, _ = _rref_unit(red.ctx, work)
-    return pivots
+    return _residue_sweep(red.ctx, red.arr, mat.cols)[0]

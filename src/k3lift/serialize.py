@@ -39,6 +39,8 @@ def load_stream(stream: IO[str]) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON input: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError("malformed JSON input: nested too deeply") from exc
 
 
 # -- payload loaders -----------------------------------------------------------

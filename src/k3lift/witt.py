@@ -166,6 +166,7 @@ class RingContext:
         "_inverse_cache",
         "_generator",
         "_storage_dtype",
+        "_field_tables",
     )
 
     def __init__(self, p: int, n: int, m: int = 1, modulus=None):
@@ -200,6 +201,7 @@ class RingContext:
         self._inverse_cache = {}
         self._generator = None
         self._storage_dtype = None  # filled by linalg.storage_dtype
+        self._field_tables = None  # filled by linalg._field_tables
 
     # -- identity ----------------------------------------------------------
 

@@ -390,6 +390,19 @@ def test_verify_membership_basis_of_wrong_rank_exit_2():
     }
 
 
+def test_verify_membership_basis_of_ragged_columns_exit_2():
+    # basis vectors of unequal length are a dimension error, not a context one
+    data = _nonsymplectic_cert().to_json()
+    data["transcript"].append({"claim": "membership", "basis": [[1, 2], [1, 2, 3]], "label": "probe"})
+    proc = run_cli(["verify"], data)
+    assert proc.returncode == 2
+    assert proc.stderr == b""
+    assert out_json(proc)["checks"][-1] == {
+        "claim": "membership", "ok": False,
+        "detail": "re-verification error: column 1 has rank 3 vs 2",
+    }
+
+
 @pytest.mark.parametrize(
     "payload, missing",
     [({"ring": {"p": 5, "n": 3, "m": 1}}, "branch"), ([1, 2], "ring")],
@@ -485,6 +498,15 @@ def test_bad_json_exit_1():
     proc = run_cli(["verify"], "{broken")
     assert proc.returncode == 1
     assert err_json(proc)["code"] == "InputError"
+
+
+def test_deeply_nested_json_exit_1():
+    proc = run_cli(["isotropic-lift"], "[" * 100_000)
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert b"Traceback" not in proc.stderr
+    assert proc.stderr.count(b"\n") == 1
+    assert err_json(proc) == {"code": "InputError", "message": "malformed JSON input: nested too deeply"}
 
 
 def test_unknown_flag_exit_1():

@@ -1,6 +1,7 @@
 """Vectors and matrices over the scalar ring: solving, kernels, unimodularity."""
 
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,19 +19,24 @@ from k3lift import (
     RingContext,
     RingMat,
     RingVec,
+    SupersingularInput,
     eigen_split,
     independent_columns,
     inverse,
     is_unimodular,
     kernel,
+    lift_ss_nonsymplectic,
     residue_rank,
     solve,
     solve_in_span,
+    verify_certificate,
 )
 from k3lift import linalg
-from k3lift.samples import random_scalar
+from k3lift.samples import random_scalar, random_tame_isometry
 
 C = RingContext(5, 3, 1)
+# p = 2^32 + 15 is the least prime above 2^32: its residue field stores Python ints
+WIDE_P = 2**32 + 15
 
 
 def _mat(ctx, rows):
@@ -136,6 +142,13 @@ def test_solve_in_span():
         combo = combo + b.scale(c)
     assert combo == target
     assert solve_in_span([b1, b2], RingVec.from_entries(C, [0, 0, 1])) is None
+
+
+def test_from_columns_rejects_ragged_and_foreign_columns():
+    with pytest.raises(DimensionMismatch, match="column 1 has rank 3 vs 2"):
+        RingMat.from_columns(C, [RingVec.from_entries(C, [1, 2]), RingVec.from_entries(C, [1, 2, 3])])
+    with pytest.raises(ContextMismatch):
+        RingMat.from_columns(C, [RingVec.from_entries(RingContext(5, 2, 1), [1, 2])])
 
 
 def test_solve_in_span_rejects_a_basis_of_another_rank():
@@ -374,6 +387,35 @@ def test_int64_threshold(m):
         _check_kernels(c, a, _coeff_array(c, (1, 1), lambda: c.pn - 1), (c.pn - 1,) * m)
 
 
+def _rref_unit(ctx, work):
+    """The full-precision unit-pivot sweep that linalg ran before its
+    elimination moved to the residue field: in-place Gauss-Jordan with one
+    rank-1 update per pivot, at precision n.  Returns (pivot columns, number
+    of pivot rows); rows beyond the pivot count end with every entry of
+    positive valuation.  Kept as the oracle of the public functions."""
+    _, r, c = work.shape
+    p, pn = ctx.p, ctx.pn
+    pivots = []
+    cur = 0
+    for col in range(c):
+        units = np.flatnonzero((work[:, cur:, col] % p != 0).any(axis=0))
+        if not units.size:
+            continue
+        piv = cur + int(units[0])
+        if piv != cur:
+            work[:, [cur, piv], :] = work[:, [piv, cur], :]
+        inv = linalg._entry(ctx, work, (cur, col)).inverse().coeffs
+        work[:, cur, :] = linalg._scal_native(ctx, inv, work[:, cur, :])
+        f = work[:, :, col].copy()
+        f[:, cur] = 0
+        work[...] = (work - linalg._mul_native(ctx, f[:, :, None], work[:, cur : cur + 1, :])) % pn
+        pivots.append(col)
+        cur += 1
+        if cur == r:
+            break
+    return pivots, cur
+
+
 def _per_row_rref(ctx, work):
     """The unit-pivot sweep before the rank-1 update: a per-entry residue
     test for the pivot, then one scaled subtraction per row.  Kept as an
@@ -407,68 +449,83 @@ def _per_row_rref(ctx, work):
     return pivots, cur
 
 
+def _oracle(sweep):
+    """The six public elimination functions as they were when one
+    full-precision sweep (sweep = _rref_unit or _per_row_rref) computed
+    each of them."""
+
+    def residue_pivots(mat):
+        red = mat.reduce_mod_p()
+        return sweep(red.ctx, red.arr.copy())[0]
+
+    def solve(a, b):
+        vec = isinstance(b, RingVec)
+        rhs = RingMat.from_columns(a.ctx, [b]) if vec else RingMat.from_rows(a.ctx, b)
+        if a.rows != a.cols or rhs.rows != a.rows:
+            raise DimensionMismatch("solve needs square a with matching b")
+        r, k = a.rows, rhs.cols
+        work = np.concatenate([a.arr, rhs.arr], axis=2)
+        pivots, _ = sweep(a.ctx, work)
+        if pivots != list(range(r)):
+            raise NonUnitPivot("matrix is not invertible over the local ring")
+        out = RingMat(a.ctx, work[:, :, r : r + k].copy())
+        return out.column(0) if vec else out
+
+    def kernel(mat):
+        work = mat.arr.copy()
+        pivots, nrows = sweep(mat.ctx, work)
+        if not bool((work[:, nrows:, :] == 0).all()):
+            raise PrecisionLoss("kernel is not determined at this precision")
+        basis = []
+        for f in (j for j in range(mat.cols) if j not in pivots):
+            v = RingVec.zeros(mat.ctx, mat.cols)
+            v.arr[0, f] = 1
+            for i, pcol in enumerate(pivots):
+                v.arr[:, pcol] = (-work[:, i, f]) % mat.ctx.pn
+            basis.append(v)
+        return basis
+
+    def solve_in_span(basis, target):
+        if not basis:
+            return None if not target.is_zero() else []
+        ctx = target.ctx
+        bmat = RingMat.from_columns(ctx, basis)
+        if bmat.rows != target.rank:
+            raise DimensionMismatch(f"basis rank {bmat.rows} vs target rank {target.rank}")
+        work = np.concatenate([bmat.arr, target.arr[:, :, None]], axis=2)
+        pivots, nrows = sweep(ctx, work)
+        k = len(basis)
+        if pivots[:k] != list(range(k)):
+            raise PrecisionLoss("span basis must be residually independent")
+        if len(pivots) > k or not bool((work[:, nrows:, :] == 0).all()):
+            return None
+        coords = [ctx.zero()] * k
+        for i, pc in enumerate(pivots):
+            coords[pc] = linalg._entry(ctx, work, (i, k))
+        return coords
+
+    return SimpleNamespace(
+        solve=solve,
+        inverse=lambda a: solve(a, RingMat.identity(a.ctx, a.rows)),
+        kernel=kernel,
+        solve_in_span=solve_in_span,
+        independent_columns=residue_pivots,
+        residue_rank=lambda mat: len(residue_pivots(mat)),
+    )
+
+
 def _plain(out):
     if isinstance(out, list):
         return [_plain(x) for x in out]
     return out.to_json() if hasattr(out, "to_json") else out
 
 
-def _elimination_results(a, sing, defect, basis, inside, outside):
-    def attempt(fn, *args):
-        try:
-            return _plain(fn(*args))
-        except (NonUnitPivot, PrecisionLoss) as exc:
-            return type(exc).__name__
-
-    b = a.transpose()
-    return [
-        attempt(linalg.solve, a, b),
-        attempt(linalg.solve, a, b.column(3)),
-        attempt(linalg.inverse, a),
-        attempt(linalg.solve, sing, b),
-        attempt(linalg.kernel, sing),
-        attempt(linalg.kernel, defect),
-        attempt(linalg.solve_in_span, basis, inside),
-        attempt(linalg.solve_in_span, basis, outside),
-        attempt(linalg.independent_columns, defect),
-        attempt(linalg.residue_rank, sing),
-    ]
-
-
-# whether the sweep runs in int64: m (p^n - 1)^2 < 2^63 holds for (3, 19, m)
-# with m <= 6 and fails for (3, 20, m)
-SWEEP_INT64 = {
-    (5, 4, 2): True,
-    (7, 6, 2): True,
-    (5, 20, 2): False,
-    (3, 19, 1): True,
-    (3, 19, 2): True,
-    (3, 19, 3): True,
-    (3, 20, 1): False,
-    (3, 20, 2): False,
-    (3, 20, 3): False,
-}
-
-
-def _sweep_dtypes(ctx, a, monkeypatch):
-    """The dtypes _rref_unit computes in while eliminating [a | a]."""
-    seen = set()
-    native = linalg._mul_native
-
-    def spy(ctx, x, y):
-        seen.add(x.dtype)
-        return native(ctx, x, y)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(linalg, "_mul_native", spy)
-        linalg._rref_unit(ctx, np.concatenate([a.arr, a.arr], axis=2))
-    return seen
-
-
-@pytest.mark.parametrize("spec", list(SWEEP_INT64))
-def test_elimination_matches_per_row_sweep_at_rank_22(spec, monkeypatch):
-    ctx = RingContext(*spec)
-    rng = random.Random(sum(spec))
+def _elimination_inputs(ctx, rank, rng, unit_a=False):
+    """(a, sing, defect, basis, inside, outside, dependent, off_by_p) at the
+    given rank: a dense matrix (unimodular when unit_a), a singular one with
+    a determined kernel, one whose kernel is not determined, a basis of
+    columns of a with a target inside its span and one outside, a basis
+    that is dependent only mod p, and a target off the span by p."""
 
     def dense(rows, cols):
         return RingMat.from_rows(ctx, [[random_scalar(rng, ctx) for _ in range(cols)] for _ in range(rows)])
@@ -486,27 +543,151 @@ def test_elimination_matches_per_row_sweep_at_rank_22(spec, monkeypatch):
             if linalg.is_unimodular(mat):
                 return mat
 
-    a = dense(22, 22)
-    left, right = invertible(22), invertible(22)
-    sing = left @ diag([1] * 19 + [0] * 3) @ right  # kernel of rank 3, determined
-    defect = left @ diag([1] * 20 + [ctx.p, 0]) @ right  # kernel not determined
-    basis = [a.column(j) for j in range(6)]
-    inside = basis[0].scale(random_scalar(rng, ctx)) + basis[5].scale(random_scalar(rng, ctx))
-    outside = dense(22, 1).column(0)
+    a = invertible(rank) if unit_a else dense(rank, rank)
+    left, right = invertible(rank), invertible(rank)
+    nullity = 3 if rank > 3 else 1
+    sing = left @ diag([1] * (rank - nullity) + [0] * nullity) @ right  # kernel determined
+    defect = left @ diag([1] * (rank - 2) + [ctx.p, 0]) @ right  # kernel not determined
+    basis = [a.column(j) for j in range(min(6, rank - 1))]
+    inside = basis[0].scale(random_scalar(rng, ctx)) + basis[-1].scale(random_scalar(rng, ctx))
+    outside = dense(rank, 1).column(0)
+    p = ctx.scalar(ctx.p)
+    dependent = basis[:-1] + [basis[0] + outside.scale(p)]
+    off_by_p = inside + a.column(rank - 1).scale(p)
+    return a, sing, defect, basis, inside, outside, dependent, off_by_p
 
+
+def _elimination_results(fns, a, sing, defect, basis, inside, outside, dependent, off_by_p):
+    def attempt(fn, *args):
+        try:
+            return _plain(fn(*args))
+        except (NonUnitPivot, PrecisionLoss) as exc:
+            return type(exc).__name__
+
+    b = a.transpose()
+    return [
+        attempt(fns.solve, a, b),
+        attempt(fns.solve, a, b.column(min(3, a.cols - 1))),
+        attempt(fns.inverse, a),
+        attempt(fns.solve, sing, b),
+        attempt(fns.kernel, sing),
+        attempt(fns.kernel, defect),
+        attempt(fns.solve_in_span, basis, inside),
+        attempt(fns.solve_in_span, basis, outside),
+        attempt(fns.independent_columns, defect),
+        attempt(fns.residue_rank, sing),
+        attempt(fns.kernel, a),
+        attempt(fns.inverse, defect),
+        attempt(fns.solve_in_span, dependent, inside),
+        attempt(fns.solve_in_span, basis, off_by_p),
+        attempt(fns.independent_columns, sing.transpose()),
+        attempt(fns.residue_rank, a),
+    ]
+
+
+# whether the last Newton step of a rank-22 inverse, at precision n, runs in
+# int64: m 22 (p^n - 1)^2 < 2^63 holds for (3, 18, m) with m <= 2 and fails
+# for (3, 18, 3) and every (3, 19, m)
+SWEEP_INT64 = {
+    (5, 4, 2): True,
+    (7, 6, 2): True,
+    (5, 20, 2): False,
+    (3, 19, 1): False,
+    (3, 19, 2): False,
+    (3, 19, 3): False,
+    (3, 20, 1): False,
+    (3, 20, 2): False,
+    (3, 20, 3): False,
+    (3, 18, 2): True,
+    (3, 18, 3): False,
+}
+
+
+def _sweep_dtypes(ctx, a, monkeypatch):
+    """The dtypes the products at the precision of ctx compute in while
+    inverting the unimodular 1 + p a: the residue sweep runs at precision 1,
+    the Newton products at n."""
+    seen = set()
+    native = linalg._mul_native
+
+    def spy(c, x, y):
+        if c.n == ctx.n:
+            seen.add(x.dtype)
+        return native(c, x, y)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_mul_native", spy)
+        linalg.inverse(RingMat.identity(ctx, a.rows) + a.scale(ctx.p))
+    return seen
+
+
+@pytest.mark.parametrize("spec", list(SWEEP_INT64))
+def test_elimination_matches_per_row_sweep_at_rank_22(spec, monkeypatch):
+    ctx = RingContext(*spec)
+    inputs = _elimination_inputs(ctx, 22, random.Random(sum(spec)))
+    a = inputs[0]
     assert _sweep_dtypes(ctx, a, monkeypatch) == {np.dtype(np.int64 if SWEEP_INT64[spec] else object)}
-    new = _elimination_results(a, sing, defect, basis, inside, outside)
-    monkeypatch.setattr(linalg, "_rref_unit", _per_row_rref)
-    old = _elimination_results(a, sing, defect, basis, inside, outside)
-    assert new == old
+    assert SWEEP_INT64[spec] == (linalg._kernel_dtype(ctx, 22) == np.int64)
+    new = _elimination_results(linalg, *inputs)
+    assert new == _elimination_results(_oracle(_rref_unit), *inputs)
+    assert new == _elimination_results(_oracle(_per_row_rref), *inputs)
     assert len(new[4]) == 3 and new[5] == "PrecisionLoss" and new[3] == "NonUnitPivot"
     assert new[6] is not None and new[7] is None
 
 
+# both sides of the table cap q <= 256, int64 and object storage, m = 1 .. 7;
+# q = 243 is the largest field with tables
+ELIMINATION_CONTEXTS = [
+    (5, 4, 1), (5, 4, 2), (11, 3, 2), (3, 5, 5), (3, 20, 2), (3, 20, 3),
+    (17, 3, 2), (7, 3, 3), (3, 5, 7), (13, 4, 4), (WIDE_P, 2, 1),
+]
+
+
+@pytest.mark.parametrize("rank", [3, 8, 22])
+@pytest.mark.parametrize("spec", ELIMINATION_CONTEXTS, ids=lambda s: ",".join(map(str, s)))
+def test_elimination_matches_full_precision_sweep(spec, rank):
+    ctx = RingContext(*spec)
+    assert (linalg._field_tables(ctx.residue_context()) is None) == (ctx.q > 256)
+    inputs = _elimination_inputs(ctx, rank, random.Random(f"{spec}/{rank}"), unit_a=True)
+    new = _elimination_results(linalg, *inputs)
+    assert new == _elimination_results(_oracle(_rref_unit), *inputs)
+    # every branch is taken: solutions, both errors, both None outcomes
+    assert new[0] != "NonUnitPivot" and new[10] == []
+    assert new[3] == "NonUnitPivot" and new[11] == "NonUnitPivot"
+    assert len(new[4]) == (3 if rank > 3 else 1) and new[5] == "PrecisionLoss"
+    assert new[6] is not None and new[7] is None and new[13] is None
+    assert new[12] == "PrecisionLoss" and new[15] == rank
+
+
+def test_certificate_build_and_verify_sweep_only_the_residue_field(monkeypatch):
+    # a rank-22, m = 2 ss-nonsymplectic certificate over (5, 4, 2): every
+    # elimination sweep runs at precision 1, full precision comes from Newton
+    ctx = RingContext(5, 4, 2)
+    iso = random_tame_isometry(random.Random(22), ctx, 22, 8)
+    split = eigen_split(iso, 8)
+    index = next(c.index for c in split.components if (2 * c.index) % 8 and c.basis)
+    hodge = split.component(index).basis[0].reduce_mod_p()
+    sweeps, newton = [], []
+    sweep, lift = linalg._residue_sweep, linalg._newton_inverse
+
+    def sweep_spy(res, arr, ncols):
+        sweeps.append(res.n)
+        return sweep(res, arr, ncols)
+
+    def newton_spy(c, block, x):
+        newton.append(c.n)
+        return lift(c, block, x)
+
+    monkeypatch.setattr(linalg, "_residue_sweep", sweep_spy)
+    monkeypatch.setattr(linalg, "_newton_inverse", newton_spy)
+    cert = lift_ss_nonsymplectic(SupersingularInput(iso.lattice, iso.matrix, hodge), 8)
+    assert verify_certificate(cert).valid
+    assert sweeps and set(sweeps) == {1}
+    assert newton and set(newton) == {4}
+
+
 # -- one storage dtype per context ---------------------------------------------------
 
-# p = 2^32 + 15 is the least prime above 2^32: its residue field stores Python ints
-WIDE_P = 2**32 + 15
 STORAGE_INT64 = {
     (3, 19, 1): True,
     (3, 19, 6): True,
@@ -628,10 +809,11 @@ def _two_sweep_solve_in_span(basis, target):
         return None if not target.is_zero() else []
     ctx = target.ctx
     bmat = RingMat.from_columns(ctx, basis)
-    if linalg.residue_rank(bmat) != len(basis):
+    red = bmat.reduce_mod_p()
+    if len(_rref_unit(red.ctx, red.arr.copy())[0]) != len(basis):
         raise PrecisionLoss("span basis must be residually independent")
     work = np.concatenate([bmat.arr, target.arr[:, :, None]], axis=2).copy()
-    pivots, nrows = linalg._rref_unit(ctx, work)
+    pivots, nrows = _rref_unit(ctx, work)
     k = len(basis)
     if any(pc >= k for pc in pivots):
         return None
