@@ -7,11 +7,14 @@ a failed mathematical precondition or an invalid certificate.  Errors go
 to standard error as one JSON object {"code", "message"} where the code
 is the exception class name, e.g. "NotTame".
 
-Payloads arrive via --in FILE or standard input.  The ring context comes
-from --ctx p,n,m[,modulus-coefficients] or from a "ring" field embedded
-in the payload; an explicit --ctx wins.  A few subcommands accept
-{"sample": {...}} payloads that generate a reproducible random instance
-from --seed, for demos and determinism tests.
+Payloads arrive via --in FILE or standard input, and `main` reads each
+one once: every subcommand but `constraints`, which takes flags only, is
+a pure handler (payload, args, ctx) -> (output, exit code) that never
+touches a stream.  The ring context comes from --ctx
+p,n,m[,modulus-coefficients] or from a "ring" field embedded in the
+payload; an explicit --ctx wins.  A few subcommands accept {"sample":
+{...}} payloads that generate a reproducible random instance from --seed
+over the --ctx ring, for demos and determinism tests.
 """
 
 from __future__ import annotations
@@ -51,9 +54,9 @@ from .serialize import (
     dump_stream,
     frame_from_json,
     isometry_from_json,
-    lattice_from_json,
     load_stream,
     matrix_from_json,
+    payload_lattice,
     point_from_json,
     scalar_from_json,
     vector_from_json,
@@ -81,12 +84,6 @@ def _parse_ctx(text: str) -> RingContext:
     return RingContext(p, n, m, modulus)
 
 
-def _require_ctx(ctx: RingContext | None, why: str) -> RingContext:
-    if ctx is None:
-        raise InputError(f"--ctx is required {why}")
-    return ctx
-
-
 def _read_payload(args) -> dict:
     if args.infile is not None:
         try:
@@ -98,22 +95,30 @@ def _read_payload(args) -> dict:
 
 
 # -- subcommand handlers -------------------------------------------------------
-# Each returns (output object, exit code).
+# Each is pure: it takes the decoded payload (None for `constraints`), the
+# parsed flags and the --ctx ring (or None) and returns (output object,
+# exit code).  Only `main` reads the payload and writes the output.
 
 
-def _cmd_eig_split(args, ctx):
-    data = _read_payload(args)
-    sample = data.get("sample") if isinstance(data, dict) else None
+def _sample(payload, args, ctx):
+    """(spec, rng) for a {"sample": spec} payload, with rng seeded from
+    --seed; (None, None) for any other payload.  A sample needs --ctx."""
+    sample = payload.get("sample") if isinstance(payload, dict) else None
+    if sample is None:
+        return None, None
+    if ctx is None:
+        raise InputError("--ctx is required to generate a sample instance")
+    return sample, Random(args.seed)
+
+
+def _cmd_eig_split(payload, args, ctx):
+    sample, rng = _sample(payload, args, ctx)
     if sample is not None:
-        ctx = _require_ctx(ctx, "to generate a sample instance")
-        rng = Random(args.seed)
-        iso = random_tame_isometry(
-            rng, ctx, int_field(sample, "rank"), int_field(sample, "order")
-        )
-        order = int_field(sample, "order")
+        rank, order = int_field(sample, "rank"), int_field(sample, "order")
+        iso = random_tame_isometry(rng, ctx, rank, order)
     else:
-        iso = isometry_from_json(data, ctx)
-        order = int_field(data, "order")
+        iso = isometry_from_json(payload, ctx)
+        order = int_field(payload, "order")
     split = eigen_split(iso, order)
     out = split.to_json()
     out["isometry"] = iso.to_json()
@@ -122,21 +127,14 @@ def _cmd_eig_split(args, ctx):
     return out, 0
 
 
-def _cmd_isotropic_lift(args, ctx):
-    data = _read_payload(args)
-    sample = data.get("sample") if isinstance(data, dict) else None
+def _cmd_isotropic_lift(payload, args, ctx):
+    sample, rng = _sample(payload, args, ctx)
     if sample is not None:
-        ctx = _require_ctx(ctx, "to generate a sample instance")
-        lat, u, v = random_isotropic_instance(
-            Random(args.seed), ctx, int_field(sample, "rank")
-        )
+        lat, u, v = random_isotropic_instance(rng, ctx, int_field(sample, "rank"))
     else:
-        if isinstance(data, dict) and "lattice" in data:
-            lat = lattice_from_json(field(data, "lattice"), ctx)
-        else:
-            lat = lattice_from_json({"gram": field(data, "gram"), "ring": data.get("ring")}, ctx)
-        u = vector_from_json(lat.ring, field(data, "u"))
-        v = vector_from_json(lat.ring, field(data, "v"))
+        lat = payload_lattice(payload, ctx)
+        u = vector_from_json(lat.ring, field(payload, "u"))
+        v = vector_from_json(lat.ring, field(payload, "v"))
     a, w = isotropic_combination(lat, u, v)
     out = {
         "lattice": lat.to_json(),
@@ -149,34 +147,28 @@ def _cmd_isotropic_lift(args, ctx):
     return out, 0
 
 
-def _cmd_period_complete(args, ctx):
-    data = _read_payload(args)
-    sample = data.get("sample") if isinstance(data, dict) else None
+def _cmd_period_complete(payload, args, ctx):
+    sample, rng = _sample(payload, args, ctx)
     if sample is not None:
-        ctx = _require_ctx(ctx, "to generate a sample instance")
-        rng = Random(args.seed)
         frame = random_period_frame(rng, ctx, int_field(sample, "rank"))
         coords = random_period_coordinates(rng, frame)
     else:
-        frame = frame_from_json(field(data, "frame"), ctx)
-        coords = [scalar_from_json(frame.ctx, c) for c in list_field(data, "coordinates")]
+        frame = frame_from_json(field(payload, "frame"), ctx)
+        coords = [scalar_from_json(frame.ctx, c) for c in list_field(payload, "coordinates")]
     line = complete_period_line(frame, coords)
     out = line.to_json()
     out["conditions"] = check_conditions(line)
     return out, 0
 
 
-def _cmd_phi_map(args, ctx):
-    data = _read_payload(args)
-    sample = data.get("sample") if isinstance(data, dict) else None
+def _cmd_phi_map(payload, args, ctx):
+    sample, rng = _sample(payload, args, ctx)
     if sample is not None:
-        ctx = _require_ctx(ctx, "to generate a sample instance")
-        rng = Random(args.seed)
         conn = random_connection(rng, ctx, int_field(sample, "dimension"))
         point = random_deformation_point(rng, conn)
     else:
-        conn = connection_from_json(field(data, "connection"), ctx)
-        point = point_from_json(conn.ctx, field(data, "point"))
+        conn = connection_from_json(field(payload, "connection"), ctx)
+        point = point_from_json(conn.ctx, field(payload, "point"))
     coords = phi_map(conn, point)
     line = phi_line(conn, point)
     out = {
@@ -188,10 +180,9 @@ def _cmd_phi_map(args, ctx):
     return out, 0
 
 
-def _cmd_phi_invert(args, ctx):
-    data = _read_payload(args)
-    conn = connection_from_json(field(data, "connection"), ctx)
-    target = field(data, "target")
+def _cmd_phi_invert(payload, args, ctx):
+    conn = connection_from_json(field(payload, "connection"), ctx)
+    target = field(payload, "target")
     if isinstance(target, dict):
         target = field(target, "coordinates")
     if not isinstance(target, list):
@@ -206,15 +197,14 @@ def _cmd_phi_invert(args, ctx):
     return out, 0
 
 
-def _cmd_lift_search(args, ctx):
-    data = _read_payload(args)
-    order = int_field(data, "order")
+def _cmd_lift_search(payload, args, ctx):
+    order = int_field(payload, "order")
     if args.mode == "finite-height":
-        sd = SlopeDecomposition.from_json(field(data, "decomposition"), ctx)
-        matrix = matrix_from_json(sd.ctx, field(data, "matrix"), sd.lattice.rank)
-        hodge = vector_from_json(sd.ctx.residue_context(), field(data, "hodge_line"))
-        if data.get("others") is not None:
-            others = list_field(data, "others")
+        sd = SlopeDecomposition.from_json(field(payload, "decomposition"), ctx)
+        matrix = matrix_from_json(sd.ctx, field(payload, "matrix"), sd.lattice.rank)
+        hodge = vector_from_json(sd.ctx.residue_context(), field(payload, "hodge_line"))
+        if payload.get("others") is not None:
+            others = list_field(payload, "others")
             mats = [matrix_from_json(sd.ctx, mj, sd.lattice.rank) for mj in others]
             cert, reports = universal_line(sd, matrix, order, hodge, mats)
             out = cert.to_json()
@@ -222,7 +212,7 @@ def _cmd_lift_search(args, ctx):
             return out, 0
         cert = lift_finite_height(sd, matrix, order, hodge)
     else:
-        inp = SupersingularInput.from_json(data, ctx)
+        inp = SupersingularInput.from_json(payload, ctx)
         if args.mode == "ss-nonsymplectic":
             cert = lift_ss_nonsymplectic(inp, order)
         else:
@@ -230,14 +220,13 @@ def _cmd_lift_search(args, ctx):
     return cert.to_json(), 0
 
 
-def _cmd_verify(args, ctx):
-    data = _read_payload(args)
-    cert = LiftingCertificate.from_json(data, ctx)
+def _cmd_verify(payload, args, ctx):
+    cert = LiftingCertificate.from_json(payload, ctx)
     report = verify_certificate(cert)
     return report.to_json(), 0 if report.valid else 2
 
 
-def _cmd_constraints(args, ctx):
+def _cmd_constraints(payload, args, ctx):
     out = {}
     if args.phi is not None:
         out["phi"] = gates.euler_phi(args.phi)
@@ -378,7 +367,8 @@ def main(argv=None) -> int:
         parser = build_parser()
         args = parser.parse_args(argv)
         ctx = _parse_ctx(args.ctx) if args.ctx is not None else None
-        out, code = _HANDLERS[args.command](args, ctx)
+        payload = None if args.command == "constraints" else _read_payload(args)
+        out, code = _HANDLERS[args.command](payload, args, ctx)
         if isinstance(out, str):
             sys.stdout.write(out)
         else:

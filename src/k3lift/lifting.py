@@ -121,12 +121,13 @@ class SlopeDecomposition:
     def from_json(cls, data: dict, ctx: RingContext | None = None) -> "SlopeDecomposition":
         if ctx is None:
             ctx = RingContext.from_json(field(data, "ring"))
+        gram = field(data, "gram")
         low, middle, high = (_vectors_from_json(ctx, data, k) for k in ("low", "middle", "high"))
         # the pieces' total length is the rank a flat Gram list is read with
         rank = len(low) + len(middle) + len(high)
         frobenius = data.get("frobenius")
         return cls(
-            QuadLattice(ctx, matrix_from_json(ctx, field(data, "gram"), rank)),
+            QuadLattice(ctx, matrix_from_json(ctx, gram, rank)),
             low,
             middle,
             high,
@@ -149,9 +150,9 @@ class SupersingularInput:
     fixes the ample class when one is supplied.
     """
 
-    __slots__ = ("lattice", "isometry", "hodge_line", "ample", "artin_invariant")
+    __slots__ = ("lattice", "isometry", "hodge_line", "ample")
 
-    def __init__(self, lattice: QuadLattice, matrix, hodge_line, ample=None, artin_invariant=None):
+    def __init__(self, lattice: QuadLattice, matrix, hodge_line, ample=None):
         ctx = lattice.ring
         self.lattice = lattice
         self.isometry = Isometry(lattice, matrix)
@@ -169,7 +170,6 @@ class SupersingularInput:
             self.ample = lattice.vector(ample)
             if (self.matrix @ self.ample) != self.ample:
                 raise InputError("isometry must fix the ample class")
-        self.artin_invariant = artin_invariant
 
     @property
     def ctx(self) -> RingContext:
@@ -196,8 +196,6 @@ class SupersingularInput:
         }
         if self.ample is not None:
             out["ample"] = self.ample.to_json()
-        if self.artin_invariant is not None:
-            out["artin_invariant"] = self.artin_invariant
         return out
 
     @classmethod
@@ -214,7 +212,6 @@ class SupersingularInput:
             matrix_from_json(ctx, matrix, lat.rank),
             hodge_line,
             None if ample is None else vector_from_json(ctx, ample),
-            data.get("artin_invariant"),
         )
 
 

@@ -58,7 +58,7 @@ def scalar_from_json(ctx: RingContext, data) -> PadicScalar:
 def vector_from_json(ctx: RingContext, data) -> RingVec:
     if not isinstance(data, list):
         raise InputError("a vector must be a list of scalars")
-    return RingVec.from_entries(ctx, [scalar_from_json(ctx, e) for e in data])
+    return RingVec.from_entries(ctx, data)
 
 
 def matrix_from_json(ctx: RingContext, data, rank: int | None = None) -> RingMat:
@@ -78,10 +78,7 @@ def matrix_from_json(ctx: RingContext, data, rank: int | None = None) -> RingMat
             data = [data[i * rank : (i + 1) * rank] for i in range(rank)]
         elif not isinstance(data[0], list):
             raise InputError("a matrix must be given as rows (or flat with known rank)")
-    rows = [[scalar_from_json(ctx, e) for e in row] for row in data]
-    if any(len(r) != len(rows[0]) for r in rows):
-        raise InputError("matrix rows must all have the same length")
-    return RingMat.from_rows(ctx, rows)
+    return RingMat.from_rows(ctx, data)
 
 
 def lattice_from_json(data, ctx: RingContext | None = None) -> QuadLattice:
@@ -103,15 +100,18 @@ def lattice_from_json(data, ctx: RingContext | None = None) -> QuadLattice:
     return QuadLattice(ctx, matrix_from_json(ctx, gram))
 
 
+def payload_lattice(data, ctx: RingContext | None = None) -> QuadLattice:
+    """The payload's 'lattice' field, or else a lattice of its own 'gram'
+    over its own 'ring' (or ctx)."""
+    if isinstance(data, dict) and "lattice" in data:
+        return lattice_from_json(data["lattice"], ctx)
+    return lattice_from_json({"gram": field(data, "gram"), "ring": data.get("ring")}, ctx)
+
+
 def isometry_from_json(data: dict, ctx: RingContext | None = None) -> Isometry:
     if not isinstance(data, dict) or "matrix" not in data:
         raise InputError("an isometry payload needs 'matrix' and a lattice")
-    if "lattice" in data:
-        lat = lattice_from_json(field(data, "lattice"), ctx)
-    elif "gram" in data:
-        lat = lattice_from_json({"ring": data.get("ring"), "gram": field(data, "gram")}, ctx)
-    else:
-        raise InputError("an isometry payload needs 'lattice' or 'gram'")
+    lat = payload_lattice(data, ctx)
     order = data.get("order")
     if order is not None and (isinstance(order, bool) or not isinstance(order, int)):
         raise InputError("field 'order' must be an integer")

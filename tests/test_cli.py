@@ -1,11 +1,17 @@
 """Command-line contract: payload shapes, exit codes, determinism."""
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from k3lift import cli
 from k3lift import (
     QuadLattice,
     RingContext,
@@ -429,6 +435,13 @@ _PROBE_BASES = {
     None: lambda: (["verify"], _nonsymplectic_cert().to_json()),
     "ss-symplectic": lambda: (["lift-search", "--mode", "ss-symplectic"], _symplectic_payload()),
     "finite-height": lambda: (["lift-search", "--mode", "finite-height"], _finite_height_payload()),
+    "finite-height --ctx": lambda: (
+        ["--ctx", "5,3,1", "lift-search", "--mode", "finite-height"], _finite_height_payload()
+    ),
+    "eig-split --ctx": lambda: (
+        ["--ctx", "7,3,1", "eig-split"],
+        {"gram": [[1, 0], [0, 1]], "matrix": [[1, 0], [0, 1]], "order": 1},
+    ),
     "period-complete": lambda: (["period-complete"], _period_complete_payload()),
     "phi-map": lambda: (["phi-map"], {"connection": _connection_payload(), "point": [5]}),
 }
@@ -462,6 +475,11 @@ _BRANCH_MESSAGE = "field 'branch' must be one of finite-height, ss-nonsymplectic
         (None, "branch", [1], _BRANCH_MESSAGE),
         (None, "branch", "no-such-branch", _BRANCH_MESSAGE),
         ("phi-map", "connection.matrices", 5, "field 'matrices' must be a list"),
+        # a decomposition read over --ctx is an object, never a bare value
+        ("finite-height --ctx", "decomposition", 5, "payload is missing required field 'gram'"),
+        ("finite-height --ctx", "decomposition", [1], "payload is missing required field 'gram'"),
+        # every row of a matrix is a list
+        ("eig-split --ctx", "gram", [[1, 0], 3], "a matrix must be a list of rows"),
     ],
 )
 def test_wrong_typed_field_exit_1(mode, key, value, message):
@@ -478,6 +496,66 @@ def test_wrong_typed_field_exit_1(mode, key, value, message):
     assert stderr.count("\n") == 1
     assert json.loads(stderr) == {"code": "InputError", "message": message}
     assert proc.stdout == b""
+
+
+def _nodes(tree, path=()):
+    """The path of every node of a JSON tree, the root's () included."""
+    yield path
+    if isinstance(tree, (dict, list)):
+        for key, child in (tree.items() if isinstance(tree, dict) else enumerate(tree)):
+            yield from _nodes(child, path + (key,))
+
+
+def _replaced(tree, path, value):
+    """tree with its node at path replaced by value."""
+    if not path:
+        return value
+    parent = tree
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return tree
+
+
+_FUZZ_LEAVES = st.one_of(
+    st.integers(-12, 12),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+# object keys are mostly real payload field names, so that a nested value
+# can reach the readers of those fields
+_FUZZ_KEYS = st.sampled_from(["ring", "p", "n", "m", "gram", "matrix", "order", "rank", "sample"])
+
+
+def _fuzz_values(depth=3):
+    """Small JSON values: a leaf, or a list or object of depth <= depth."""
+    if depth == 0:
+        return _FUZZ_LEAVES
+    inner = _fuzz_values(depth - 1)
+    return _FUZZ_LEAVES | st.lists(inner, max_size=3) | st.dictionaries(
+        _FUZZ_KEYS | st.text(max_size=3), inner, max_size=3
+    )
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.data())
+def test_main_fuzz_one_node_ends_in_exit_code_and_one_error(data):
+    # in-process, so that every example costs a handler call, not a process
+    args, payload = _PROBE_BASES[data.draw(st.sampled_from(list(_PROBE_BASES)))]()
+    path = data.draw(st.sampled_from(list(_nodes(payload))))
+    payload = _replaced(payload, path, data.draw(_fuzz_values()))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(canonical_dumps(payload))), \
+            redirect_stdout(stdout), redirect_stderr(stderr):
+        code = cli.main(args)
+    assert code in (0, 1, 2)
+    err = stderr.getvalue()
+    if err:
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert set(json.loads(err)) == {"code", "message"}
+        assert stdout.getvalue() == ""
 
 
 def test_lift_search_flat_decomposition_gram():

@@ -1,7 +1,7 @@
 """Repository-level checks: no assert statements, no float constants and
 no RingMat isinstance test outside linalg in the package, one home for
-each shape-free ring-array operation, and the benchmark harness runs end
-to end."""
+each shape-free ring-array operation, CLI handlers that read no stream,
+and the benchmark harness runs end to end."""
 
 import ast
 import json
@@ -69,6 +69,36 @@ def test_ring_array_operations_have_one_home():
     assert methods["RingVec"] & core == set()
     assert methods["RingMat"] & core == set()
     assert "__matmul__" in methods["RingMat"]
+
+
+_PAYLOAD_READERS = {"_read_payload", "load_stream"}
+
+
+def _reads_a_payload(node):
+    """node names _read_payload, load_stream or sys.stdin."""
+    if isinstance(node, ast.Name):
+        return node.id in _PAYLOAD_READERS
+    return isinstance(node, ast.Attribute) and (
+        node.attr in _PAYLOAD_READERS
+        or (node.attr == "stdin" and isinstance(node.value, ast.Name) and node.value.id == "sys")
+    )
+
+
+def test_cli_handlers_read_no_payload():
+    # main reads the payload once; a _cmd_* handler is a pure
+    # (payload, args, ctx) -> (output, exit code)
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    readers = {
+        node.name for node in tree.body
+        if isinstance(node, ast.FunctionDef) and any(map(_reads_a_payload, ast.walk(node)))
+    }
+    handlers = {
+        node.name for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")
+    }
+    assert len(handlers) == 8
+    assert readers & handlers == set()
+    assert readers == {"_read_payload", "main"}
 
 
 def test_benchmark_harness_smoke():
