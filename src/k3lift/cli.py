@@ -8,9 +8,9 @@ to standard error as one JSON object {"code", "message"} where the code
 is the exception class name, e.g. "NotTame".
 
 Payloads arrive via --in FILE or standard input, and `main` reads each
-one once: every subcommand but `constraints`, which takes flags only, is
-a pure handler (payload, args, ctx) -> (output, exit code) that never
-touches a stream.  The ring context comes from --ctx
+one once: every subcommand but `constraints`, which takes flags only and
+refuses --in, is a pure handler (payload, args, ctx) -> (output, exit
+code) that never touches a stream.  The ring context comes from --ctx
 p,n,m[,modulus-coefficients] or from a "ring" field embedded in the
 payload; an explicit --ctx wins.  A few subcommands accept {"sample":
 {...}} payloads that generate a reproducible random instance from --seed
@@ -367,6 +367,8 @@ def main(argv=None) -> int:
         parser = build_parser()
         args = parser.parse_args(argv)
         ctx = _parse_ctx(args.ctx) if args.ctx is not None else None
+        if args.command == "constraints" and args.infile is not None:
+            raise InputError("constraints reads no payload; --in is not accepted")
         payload = None if args.command == "constraints" else _read_payload(args)
         out, code = _HANDLERS[args.command](payload, args, ctx)
         if isinstance(out, str):

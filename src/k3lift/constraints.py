@@ -20,6 +20,8 @@ UNIQUENESS_ORDERS = (13, 17, 19, 25, 27, 32, 33, 40, 44, 50, 66)
 TAME_THRESHOLD = 11        # p > 11: every finite-order automorphism is tame
 WEAKLY_TAME_THRESHOLD = 23  # p >= 23: finite height implies weakly tame
 
+SCAN_LIMIT = 10_000  # largest p_max phi_bound_scan accepts
+
 
 def prime_factors(n: int) -> list[int]:
     """Distinct prime divisors of n >= 1, increasing, by trial division."""
@@ -131,9 +133,14 @@ def phi_bound_scan(p_max: int) -> list[dict]:
 
     Primes at most 60 are included for contrast (phi(60) = 16 at p = 59);
     the claim under scan is that phi(p + 1) > 21 for every prime p > 60.
+    p_max may not exceed SCAN_LIMIT: phi(n) >= sqrt(n) for every n except
+    2 and 6, so phi(p + 1) > 21 for every p >= 441, and a longer scan
+    cannot change the verdict while its work and output keep growing.
     """
     if p_max < 61:
         raise InputError("scan range must reach past 60")
+    if p_max > SCAN_LIMIT:
+        raise InputError(f"scan range may not exceed {SCAN_LIMIT}")
     return [
         {"p": p, "phi_p_plus_1": euler_phi(p + 1), "exceeds_21": euler_phi(p + 1) > 21}
         for p in primes_up_to(p_max)

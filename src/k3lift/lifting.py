@@ -64,38 +64,25 @@ class SlopeDecomposition:
         self._validate()
 
     def _validate(self) -> None:
-        ctx = self.lattice.ring
+        """Every pairing comes from a Gram product of the piece matrices,
+        L^T G H and so on."""
+        ctx, g = self.lattice.ring, self.lattice.gram
         full = RingMat.from_columns(ctx, self.low + self.middle + self.high)
         if residue_rank(full) != self.lattice.rank:
             raise InputError("slope sub-bases do not form an ambient basis")
-        pair = self.lattice.pairing
-        for name, piece in (("low", self.low), ("high", self.high)):
-            for a in piece:
-                for b in piece:
-                    if not pair(a, b).is_zero():
-                        raise InputError(f"{name} slope piece must be isotropic")
-        for a in self.low + self.high:
-            for b in self.middle:
-                if not pair(a, b).is_zero():
-                    raise InputError("middle slope piece must be orthogonal to the outer pieces")
-        h = len(self.high)
-        duality = RingMat.from_rows(
-            ctx,
-            [[pair(self.low[i], self.high[j]).coeffs for j in range(h)] for i in range(h)],
-        )
-        if residue_rank(duality) != h:
+        low, high = RingMat.from_columns(ctx, self.low), RingMat.from_columns(ctx, self.high)
+        g_low, g_high = g @ low, g @ high
+        for name, piece, g_piece in (("low", low, g_low), ("high", high, g_high)):
+            if not (piece.transpose() @ g_piece).is_zero():
+                raise InputError(f"{name} slope piece must be isotropic")
+        if self.middle:
+            mid_t = RingMat.from_columns(ctx, self.middle).transpose()
+            if not ((mid_t @ g_low).is_zero() and (mid_t @ g_high).is_zero()):
+                raise InputError("middle slope piece must be orthogonal to the outer pieces")
+        if residue_rank(low.transpose() @ g_high) != len(self.high):
             raise InputError("outer slope pieces must be dual (unit pairing matrix)")
-        mid = len(self.middle)
-        if mid:
-            midgram = RingMat.from_rows(
-                ctx,
-                [
-                    [pair(self.middle[i], self.middle[j]).coeffs for j in range(mid)]
-                    for i in range(mid)
-                ],
-            )
-            if residue_rank(midgram) != mid:
-                raise InputError("middle slope piece must be unimodular")
+        if self.middle and residue_rank(mid_t @ g @ mid_t.transpose()) != len(self.middle):
+            raise InputError("middle slope piece must be unimodular")
 
     @property
     def ctx(self) -> RingContext:
@@ -449,44 +436,29 @@ def lift_finite_height(
     if isinstance(isometry, Isometry):
         isometry = isometry.matrix
     a = Isometry(sd.lattice, isometry).matrix
-    # restrict to the top piece; the isometry must stabilize every piece
-    restricted = {}
+    # restrict to each piece; the isometry must stabilize every one of them
     for name, piece in (("low", sd.low), ("middle", sd.middle), ("high", sd.high)):
         if not piece:
             continue
-        cols = []
-        for b in piece:
-            coords = solve_in_span(piece, a @ b)
-            if coords is None:
-                raise PreconditionError(
-                    f"isometry does not preserve the {name} slope piece"
-                )
-            cols.append(RingVec.from_entries(ctx, [c.coeffs for c in coords]))
-        restricted[name] = RingMat.from_columns(ctx, cols)
-    high_mat = restricted["high"]
-    h = sd.height_rank
-    ident = RingMat.identity(ctx, h)
-    power = ident
-    for _ in range(order):
-        power = power @ high_mat
-    if power != ident:
+        restricted = solve_in_span(piece, a @ RingMat.from_columns(ctx, piece))
+        if restricted is None:
+            raise PreconditionError(f"isometry does not preserve the {name} slope piece")
+    # the loop ends on the top piece, which is never empty
+    high_mat, h = restricted, sd.height_rank
+    if high_mat ** order != RingMat.identity(ctx, h):
         raise OrderViolation(f"restricted action does not have order dividing {order}")
     # express the hodge line in the top piece's residue coordinates
     res = ctx.residue_context()
     if hodge_line.ctx != res:
         raise ContextMismatch("hodge line must live over the residue field")
-    high_res = [b.reduce_mod_p() for b in sd.high]
-    coords_bar = solve_in_span(high_res, hodge_line)
-    if coords_bar is None:
+    xbar = solve_in_span([b.reduce_mod_p() for b in sd.high], hodge_line)
+    if xbar is None:
         raise HodgeLineNotEigen("hodge line does not reduce into the top slope piece")
-    xbar = RingVec.from_entries(res, [c.coeffs for c in coords_bar])
     high_lat = QuadLattice(ctx, RingMat.zeros(ctx, h, h))
     split = eigen_split(Isometry(high_lat, high_mat, check=False), order)
     index = _root_index(split, _residue_eigenvalue(high_mat, xbar))
     w = lift_eigenvector(split, index, xbar)
-    m = RingVec.zeros(ctx, sd.lattice.rank)
-    for j, b in enumerate(sd.high):
-        m = m + b.scale(w.entry(j))
+    m = RingMat.from_columns(ctx, sd.high) @ w
     lam = split.roots[index]
     transcript = [_entry_membership(sd.high, "generator lies in the top slope piece")]
     transcript.extend(

@@ -42,8 +42,8 @@ inverse multiply by it.  kernel returns e_f - B_PQ^-1 B_Pf for each free
 column f and raises PrecisionLoss unless the matrix annihilates these
 vectors exactly: otherwise a "defect" row is nonzero, all of its entries
 have positive valuation, and the kernel depends on digits beyond the
-working precision.  solve_in_span returns B_P^-1 target_P when one product
-confirms B x = target.
+working precision.  solve_in_span returns B_P^-1 T_P for a vector or a
+matrix T of targets when one product confirms B X = T.
 """
 
 from __future__ import annotations
@@ -627,25 +627,34 @@ def kernel(mat: RingMat) -> list[RingVec]:
     return [RingVec(ctx, basis[:, :, j].copy()) for j in range(len(free))]
 
 
-def solve_in_span(basis: list[RingVec], target: RingVec) -> list[PadicScalar] | None:
+def solve_in_span(basis: list[RingVec], target: RingVec | RingMat) -> RingVec | RingMat | None:
     """Coordinates of target in the span of a residually independent basis,
     or None when target is outside the span at this precision.
 
-    One residue sweep of [B | target] decides independence: B is residually
-    independent exactly when each of its k columns gets a pivot, and target
-    lies outside the span mod p when its own column does.  Otherwise the
-    coordinates are x = B[P]^-1 target[P] over the pivot rows P, and target
-    lies in the span exactly when B x = target.
+    target may be a RingVec (then the coordinates are a RingVec) or a
+    RingMat of targets (then a RingMat with one column of coordinates per
+    target, or None when any column lies outside the span).  With an empty
+    basis a zero target has zero-row coordinates.  One residue sweep of
+    [B | T] decides independence: B is residually independent exactly when
+    each of its k columns gets a pivot, and a target column lies outside
+    the span mod p when it gets one too.  Otherwise the coordinates are
+    X = B[P]^-1 T[P] over the pivot rows P, and every target lies in the
+    span exactly when B X = T.
     """
-    if not basis:
-        return None if not target.is_zero() else []
     ctx = target.ctx
-    bmat = RingMat.from_columns(ctx, basis)
-    if bmat.rows != target.rank:
-        raise DimensionMismatch(f"basis rank {bmat.rows} vs target rank {target.rank}")
+    vec = isinstance(target, RingVec)
+    rhs = RingMat.from_columns(ctx, [target]) if vec else target
     k = len(basis)
-    t = target.arr[:, :, None]
-    pivots, prow, x = _pivot_block(ctx, np.concatenate([bmat.arr, t], axis=2), k + 1)
+    if not k:
+        if not rhs.is_zero():
+            return None
+        out = RingMat.zeros(ctx, 0, rhs.cols)
+        return out.column(0) if vec else out
+    bmat = RingMat.from_columns(ctx, basis)
+    if bmat.rows != rhs.rows:
+        raise DimensionMismatch(f"basis rank {bmat.rows} vs target rank {rhs.rows}")
+    t = rhs.arr
+    pivots, prow, x = _pivot_block(ctx, np.concatenate([bmat.arr, t], axis=2), k + rhs.cols)
     if pivots[:k] != list(range(k)):
         raise PrecisionLoss("span basis must be residually independent")
     if len(pivots) > k:
@@ -654,7 +663,8 @@ def solve_in_span(basis: list[RingVec], target: RingVec) -> list[PadicScalar] | 
     coords = _mul_arrays(ctx, x, t[:, prow, :])
     if not bool((_mul_arrays(ctx, bmat.arr, coords) == t).all()):
         return None
-    return [_entry(ctx, coords, (i, 0)) for i in range(k)]
+    out = RingMat(ctx, coords)
+    return out.column(0) if vec else out
 
 
 def independent_columns(mat: RingMat) -> list[int]:

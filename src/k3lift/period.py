@@ -153,25 +153,21 @@ def complete_period_line(frame: PeriodFrame, coords) -> PeriodLine:
     for a in scalars:
         if a.valuation() < 1:
             raise ValuationViolation("middle coordinates must lie in pW")
-    g = frame.lattice.gram
-    # constant term: Q(a) over the middle block
-    c0 = ctx.zero()
-    for i in range(1, r - 1):
-        for j in range(1, r - 1):
-            c0 = c0 + scalars[i - 1] * scalars[j - 1] * g.entry(i, j)
-    # linear term: 2 (v1 . v_r + sum a_i (v_i . v_r))
-    lin = g.entry(0, r - 1)
-    for i in range(1, r - 1):
-        lin = lin + scalars[i - 1] * g.entry(i, r - 1)
+    pair, zero = frame.lattice.pairing, ctx.zero()
+    # the middle vector a: Q(a) = a . a is the constant term and
+    # 2 (v1 + a) . v_r the linear one
+    middle = RingVec.from_entries(ctx, [zero] + scalars + [zero])
+    last_basis = RingVec.basis_vector(ctx, r, r - 1)
+    c0 = pair(middle, middle)
+    lin = pair(middle + RingVec.basis_vector(ctx, r, 0), last_basis)
     c1 = lin + lin
-    c2 = g.entry(r - 1, r - 1)
-    last = hensel_root(ctx, [c0, c1, c2], ctx.zero())
+    c2 = frame.lattice.gram.entry(r - 1, r - 1)
+    last = hensel_root(ctx, [c0, c1, c2], zero)
     # an exact zero is a member of p^2 W at every precision, including n = 1
     if not last.is_zero() and last.valuation() < 2:
         raise ValuationViolation("derived coordinate left p^2 W; frame is not standard")
-    entries = [ctx.one()] + scalars + [last]
-    generator = RingVec.from_entries(ctx, [e.coeffs for e in entries])
-    if not frame.lattice.pairing(generator, generator).is_zero():
+    generator = RingVec.from_entries(ctx, [ctx.one()] + scalars + [last])
+    if not pair(generator, generator).is_zero():
         raise ValuationViolation("derived generator is not isotropic; frame is not standard")
     return PeriodLine(frame, scalars, last, generator)
 

@@ -91,6 +91,38 @@ def test_constraints_requires_a_flag():
     assert err_json(proc)["code"] == "InputError"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["constraints", "--phi", "12", "--in", "/nonexistent/x.json"],
+        ["--in", "/nonexistent/x.json", "constraints", "--phi", "12"],
+    ],
+)
+def test_constraints_refuses_in(args):
+    # constraints reads no payload, so a file it would ignore is an error
+    proc = run_cli(args)
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert proc.stderr.count(b"\n") == 1
+    assert err_json(proc) == {
+        "code": "InputError",
+        "message": "constraints reads no payload; --in is not accepted",
+    }
+
+
+def test_constraints_scan_bound_is_limited():
+    # the timeout only detects a hang: the refusal comes before any work
+    proc = subprocess.run(
+        [sys.executable, "-m", "k3lift", "constraints", "--scan-phi-bound", "100000000"],
+        capture_output=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert proc.stderr.count(b"\n") == 1
+    assert err_json(proc) == {"code": "InputError", "message": "scan range may not exceed 10000"}
+
+
 # -- eig-split -------------------------------------------------------------------
 
 

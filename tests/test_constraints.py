@@ -13,6 +13,7 @@ from k3lift import (
     tameness,
     unique_order_check,
 )
+from k3lift.constraints import SCAN_LIMIT
 
 
 def test_euler_phi_values():
@@ -119,6 +120,16 @@ def test_phi_bound_scan_claim_to_1000():
 def test_phi_bound_scan_range_check():
     with pytest.raises(InputError):
         phi_bound_scan(50)
+    with pytest.raises(InputError, match=f"^scan range may not exceed {SCAN_LIMIT}$"):
+        phi_bound_scan(SCAN_LIMIT + 1)
+    assert [r["p"] for r in phi_bound_scan(SCAN_LIMIT)] == primes_up_to(SCAN_LIMIT)
+
+
+def test_scan_limit_loses_nothing():
+    # phi(n) >= sqrt(n) off {2, 6}, so phi(p + 1) > 21 once p + 1 > 21^2:
+    # a scan past 441 cannot change the verdict
+    assert SCAN_LIMIT > 441
+    assert [n for n in range(1, SCAN_LIMIT + 1) if euler_phi(n) ** 2 < n] == [2, 6]
 
 
 def test_tame_iff_coprime():

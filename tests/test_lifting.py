@@ -12,6 +12,7 @@ from k3lift import (
     NotSymplectic,
     NotTame,
     NotWeaklyTame,
+    OrderViolation,
     PreconditionError,
     QuadLattice,
     RingContext,
@@ -90,6 +91,34 @@ def test_slope_decomposition_validation():
         SlopeDecomposition(QuadLattice(C53, gram), [[1, 0, 0]], [[0, 1, 0]], [[0, 0, 1]])
 
 
+# rank 4 over W2(F7), low = e1, middle = e2, e3, high = e4: each change of
+# the valid Gram below (or of the pieces) breaks exactly one invariant, and
+# the checks run in this order
+_RANK4_GRAM = [[0, 0, 0, 1], [0, 2, -1, 0], [0, -1, 2, 0], [1, 0, 0, 0]]
+_RANK4_PIECES = ([[1, 0, 0, 0]], [[0, 1, 0, 0], [0, 0, 1, 0]], [[0, 0, 0, 1]])
+
+
+@pytest.mark.parametrize(
+    "entries, high, message",
+    [
+        ({}, [[1, 0, 0, 0]], "slope sub-bases do not form an ambient basis"),
+        ({(0, 0): 1}, None, "low slope piece must be isotropic"),
+        ({(3, 3): 1}, None, "high slope piece must be isotropic"),
+        ({(0, 1): 1, (1, 0): 1}, None, "middle slope piece must be orthogonal to the outer pieces"),
+        ({(0, 3): 7, (3, 0): 7}, None, r"outer slope pieces must be dual \(unit pairing matrix\)"),
+        ({(1, 1): 1, (1, 2): 1, (2, 1): 1, (2, 2): 1}, None, "middle slope piece must be unimodular"),
+    ],
+)
+def test_slope_decomposition_messages(entries, high, message):
+    gram = [row[:] for row in _RANK4_GRAM]
+    for (i, j), value in entries.items():
+        gram[i][j] = value
+    low, middle, top = _RANK4_PIECES
+    SlopeDecomposition(QuadLattice(C72, _RANK4_GRAM), low, middle, top)
+    with pytest.raises(InputError, match=f"^{message}$"):
+        SlopeDecomposition(QuadLattice(C72, gram), low, middle, high or top)
+
+
 def test_slope_decomposition_json_round_trip():
     sd, _, _ = _order3_slope()
     data = sd.to_json()
@@ -151,13 +180,33 @@ def test_finite_height_requires_piece_preservation():
             [1, 0, 0, 0],
         ],
     )
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="^isometry does not preserve the low slope piece$"):
         lift_finite_height(sd, swap, 2, _hodge(C72, 4, 3))
+    # the Eichler transvection x -> x - (x . e2) e1 + (x . e1) e2 - (x . e1) e1
+    # fixes e1 but moves e2 and e3 off the middle piece
+    eichler = RingMat.from_rows(
+        C72,
+        [
+            [1, -2, 1, -1],
+            [0, 1, 0, 1],
+            [0, 0, 1, 0],
+            [0, 0, 0, 1],
+        ],
+    )
+    with pytest.raises(PreconditionError, match="^isometry does not preserve the middle slope piece$"):
+        lift_finite_height(sd, eichler, 1, _hodge(C72, 4, 3))
+
+
+def test_finite_height_requires_the_declared_order():
+    sd, a, _ = _order3_slope()
+    # a acts on the top piece by zeta, of order 3
+    with pytest.raises(OrderViolation, match="^restricted action does not have order dividing 2$"):
+        lift_finite_height(sd, a, 2, _hodge(C72, 4, 3))
 
 
 def test_finite_height_hodge_must_reduce_into_top():
     sd, a, _ = _order3_slope()
-    with pytest.raises(HodgeLineNotEigen):
+    with pytest.raises(HodgeLineNotEigen, match="^hodge line does not reduce into the top slope piece$"):
         lift_finite_height(sd, a, 3, _hodge(C72, 4, 1))
 
 

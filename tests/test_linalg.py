@@ -138,7 +138,7 @@ def test_solve_in_span():
     coeffs = solve_in_span([b1, b2], target)
     assert coeffs is not None
     combo = RingVec.zeros(C, 3)
-    for c, b in zip(coeffs, [b1, b2]):
+    for c, b in zip(coeffs.entries(), [b1, b2]):
         combo = combo + b.scale(c)
     assert combo == target
     assert solve_in_span([b1, b2], RingVec.from_entries(C, [0, 0, 1])) is None
@@ -157,6 +157,8 @@ def test_solve_in_span_rejects_a_basis_of_another_rank():
         solve_in_span(basis, RingVec.from_entries(C, [1, 2, 0]))
     with pytest.raises(DimensionMismatch):
         solve_in_span(basis, RingVec.from_entries(C, [1]))
+    with pytest.raises(DimensionMismatch, match="basis rank 2 vs target rank 3"):
+        solve_in_span(basis, RingMat.identity(C, 3))
 
 
 def test_independent_columns():
@@ -845,7 +847,11 @@ def test_solve_in_span_matches_two_sweeps_at_rank_22(spec):
             out = linalg.solve_in_span(basis, target)
         except PrecisionLoss:
             return "PrecisionLoss"
-        return None if out is None else [c.coeffs for c in out]
+        if out is None:
+            return None
+        if isinstance(out, RingMat):
+            return [[c.coeffs for c in out.column(j).entries()] for j in range(out.cols)]
+        return [c.coeffs for c in out.entries()]
 
     def oracle(basis, target):
         try:
@@ -863,16 +869,19 @@ def test_solve_in_span_matches_two_sweeps_at_rank_22(spec):
     dependent = basis[:7] + [combo(basis[:3])]
     residual = basis[:7] + [combo(basis[:3]) + vec().scale(p)]
     inside = combo(basis)
+    zero = RingVec.zeros(ctx, 22)
     cases = [
         (basis, inside, "coords"),
         (basis, combo(basis) + full[12], None),
         (basis, inside + full[9].scale(p), None),  # off the span by p
-        (basis, RingVec.zeros(ctx, 22), "coords"),
+        (basis, zero, "coords"),
         (dependent, inside, "PrecisionLoss"),
         (residual, inside, "PrecisionLoss"),
         (residual, full[20], "PrecisionLoss"),
         (full, combo(full), "coords"),  # k = rank: the target column gets no sweep
         (full + [vec()], vec(), "PrecisionLoss"),  # more columns than rows
+        ([], zero, "coords"),  # the empty span holds zero only
+        ([], full[3], None),
     ]
     for b, t, kind in cases:
         got = attempt(b, t)
@@ -881,8 +890,15 @@ def test_solve_in_span_matches_two_sweeps_at_rank_22(spec):
             assert isinstance(got, list) and len(got) == len(b)
         else:
             assert got == kind
+        # the same target beside one inside the span, as one matrix target
+        other = inside if b else zero
+        both = attempt(b, RingMat.from_columns(ctx, [t, other]))
+        if got is None or got == "PrecisionLoss":
+            assert both == got
+        else:
+            assert both == [got, attempt(b, other)]
     coords = linalg.solve_in_span(basis, inside)
     rebuilt = RingVec.zeros(ctx, 22)
-    for c, b in zip(coords, basis):
+    for c, b in zip(coords.entries(), basis):
         rebuilt = rebuilt + b.scale(c)
     assert rebuilt == inside

@@ -1,13 +1,15 @@
 """Repository-level checks: no assert statements, no float constants and
-no RingMat isinstance test outside linalg in the package, one home for
-each shape-free ring-array operation, CLI handlers that read no stream,
-and the benchmark harness runs end to end."""
+no RingMat isinstance test outside linalg in the package, no new raw
+RingVec/RingMat construction outside linalg, one home for each shape-free
+ring-array operation, CLI handlers that read no stream, and the benchmark
+harness runs end to end."""
 
 import ast
 import json
 import pathlib
 import subprocess
 import sys
+from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "k3lift"
@@ -50,6 +52,28 @@ def test_matrix_coercion_has_one_home():
     # RingMat.from_rows is the only place that tells a RingMat from rows
     found = _package_nodes(_isinstance_of_ringmat)
     assert [f for f in found if not f.startswith("linalg.py:")] == []
+
+
+def _raw_ring_array_call(node):
+    """node calls RingVec(...) or RingMat(...) itself, not a classmethod."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    return name in ("RingVec", "RingMat")
+
+
+# the raw constructors take unreduced arrays; these calls predate the
+# ratchet, which may only shrink (to none once the constructors are private)
+_RAW_RING_ARRAY_CALLS = Counter({"isometry.py": 3, "torelli.py": 2})
+
+
+def test_raw_ring_array_calls_only_shrink():
+    found = Counter(
+        f.split(":")[0] for f in _package_nodes(_raw_ring_array_call)
+        if not f.startswith("linalg.py:")
+    )
+    assert found <= _RAW_RING_ARRAY_CALLS
 
 
 def _linalg_methods():
