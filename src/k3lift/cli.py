@@ -9,10 +9,10 @@ is the exception class name, e.g. "NotTame".
 
 Payloads arrive via --in FILE or standard input, and `main` reads each
 one once: every subcommand but `constraints`, which takes flags only and
-refuses --in, is a pure handler (payload, args, ctx) -> (output, exit
-code) that never touches a stream.  The ring context comes from --ctx
-p,n,m[,modulus-coefficients] or from a "ring" field embedded in the
-payload; an explicit --ctx wins.  A few subcommands accept {"sample":
+refuses --in, --ctx and --seed, is a pure handler (payload, args, ctx) ->
+(output, exit code) that never touches a stream.  The ring context comes
+from --ctx p,n,m[,modulus-coefficients] or from a "ring" field embedded in
+the payload; an explicit --ctx wins.  A few subcommands accept {"sample":
 {...}} payloads that generate a reproducible random instance from --seed
 over the --ctx ring, for demos and determinism tests.
 """
@@ -102,13 +102,14 @@ def _read_payload(args) -> dict:
 
 def _sample(payload, args, ctx):
     """(spec, rng) for a {"sample": spec} payload, with rng seeded from
-    --seed; (None, None) for any other payload.  A sample needs --ctx."""
+    --seed (0 when unset); (None, None) for any other payload.  A sample
+    needs --ctx."""
     sample = payload.get("sample") if isinstance(payload, dict) else None
     if sample is None:
         return None, None
     if ctx is None:
         raise InputError("--ctx is required to generate a sample instance")
-    return sample, Random(args.seed)
+    return sample, Random(0 if args.seed is None else args.seed)
 
 
 def _cmd_eig_split(payload, args, ctx):
@@ -292,7 +293,7 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
     parser.add_argument(
         "--seed",
         type=int,
-        default=hidden if suppress else 0,
+        default=hidden if suppress else None,
         help="seed for sample payloads (default 0)",
     )
     parser.add_argument(
@@ -366,9 +367,11 @@ def main(argv=None) -> int:
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
+        if args.command == "constraints":
+            for flag, value in (("--in", args.infile), ("--ctx", args.ctx), ("--seed", args.seed)):
+                if value is not None:
+                    raise InputError(f"constraints reads no payload; {flag} is not accepted")
         ctx = _parse_ctx(args.ctx) if args.ctx is not None else None
-        if args.command == "constraints" and args.infile is not None:
-            raise InputError("constraints reads no payload; --in is not accepted")
         payload = None if args.command == "constraints" else _read_payload(args)
         out, code = _HANDLERS[args.command](payload, args, ctx)
         if isinstance(out, str):

@@ -1,7 +1,9 @@
 """Arithmetic gates: Euler phi, tameness, uniqueness orders, prime scans.
 
 Pure integer arithmetic with no ring-context dependencies, and the one
-home of the package's primality test, factoring and multiplicative orders.
+home of the package's primality test (deterministic Miller-Rabin, below
+psi_13), factoring (trial division by divisors up to sqrt(FACTOR_LIMIT))
+and multiplicative orders.
 The uniqueness set lists the eleven automorphism orders for which a purely
 non-symplectic action pins down the surface uniquely; the scan checks the
 bound phi(p + 1) > 21 for primes p > 60 over a finite range rather than
@@ -21,19 +23,32 @@ TAME_THRESHOLD = 11        # p > 11: every finite-order automorphism is tame
 WEAKLY_TAME_THRESHOLD = 23  # p >= 23: finite height implies weakly tame
 
 SCAN_LIMIT = 10_000  # largest p_max phi_bound_scan accepts
+FACTOR_LIMIT = 10**12  # prime_factors splits every n up to this: trial divisors stop at 10^6
+
+# Miller-Rabin with the first 13 prime bases is correct for every n below
+# psi_13 (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981  # psi_13
 
 
 def prime_factors(n: int) -> list[int]:
-    """Distinct prime divisors of n >= 1, increasing, by trial division."""
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
+    """Distinct prime divisors of n >= 1, increasing, by trial division with
+    divisors d, d^2 <= FACTOR_LIMIT.  The cofactor left when the divisors
+    run out must be proven prime by is_prime; otherwise InputError."""
+    out, d, cofactor = [], 2, n
+    while d * d <= cofactor and d * d <= FACTOR_LIMIT:
+        if cofactor % d == 0:
             out.append(d)
-            while n % d == 0:
-                n //= d
+            while cofactor % d == 0:
+                cofactor //= d
         d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
+    if cofactor > 1:
+        if d * d <= cofactor and not (cofactor < _MR_LIMIT and is_prime(cofactor)):
+            raise InputError(
+                f"cannot factor {n}: its cofactor {cofactor} has no divisor up to "
+                f"{isqrt(FACTOR_LIMIT)} and is not proven prime"
+            )
+        out.append(cofactor)
     return out
 
 
@@ -50,8 +65,30 @@ def euler_phi(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin over _MR_BASES; n at or above psi_13,
+    where those bases are not proven enough, raises InputError."""
     n = int(n)
-    return n >= 2 and prime_factors(n) == [n]
+    if n >= _MR_LIMIT:
+        raise InputError(f"cannot decide primality at or above {_MR_LIMIT}")
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def multiplicative_order(a: int, modulus: int) -> int:

@@ -12,8 +12,6 @@ the nose, not merely modulo an error term.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .constraints import prime_factors
 from .errors import (
     ContextMismatch,
@@ -332,15 +330,14 @@ def eigen_split(isometry: Isometry, order: int) -> EigenSplit:
     inv_n = ctx.scalar(order).inverse()
     # all N projectors in one product: [zeta^(-ik) / N]_(i,k) times the
     # N x r^2 stack whose row k is A^k; zeta^(-ik) = roots[(-i*k) mod N]
-    weights = [(z * inv_n).coeffs for z in roots]
-    chars = np.array(
-        [[weights[(-i * k) % order] for k in range(order)] for i in range(order)], dtype=object
-    ).transpose(2, 0, 1)
-    stack = np.concatenate([pw.arr.reshape(ctx.m, 1, r * r) for pw in powers], axis=1)
-    blocks = (RingMat(ctx, chars) @ RingMat(ctx, stack)).arr.reshape(ctx.m, order, r, r)
+    weights = [z * inv_n for z in roots]
+    chars = RingMat.from_rows(
+        ctx, [[weights[(-i * k) % order] for k in range(order)] for i in range(order)]
+    )
+    blocks = chars @ RingMat.stack(ctx, [pw.reshape(1, r * r) for pw in powers])
     components = []
     for i in range(order):
-        proj = RingMat(ctx, blocks[:, i])
+        proj = blocks.row(i).reshape(r, r)
         cols = independent_columns(proj)
         basis = [proj.column(j) for j in cols]
         components.append(EigenComponent(roots[i], i, proj, basis))

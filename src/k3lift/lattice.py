@@ -21,7 +21,7 @@ from .errors import (
     DimensionMismatch,
     InputError,
 )
-from .linalg import RingMat, RingVec, _entry, _matvec_arrays, kernel
+from .linalg import RingMat, RingVec, kernel
 from .witt import PadicScalar, RingContext
 
 # ---------------------------------------------------------------------------
@@ -303,9 +303,7 @@ class QuadLattice:
 
     def pairing(self, u, v) -> PadicScalar:
         """Bilinear pairing u . v = u^T (G v), one coefficient-array product."""
-        u, v = self.vector(u), self.vector(v)
-        gv = self.gram @ v
-        return _entry(self.ring, _matvec_arrays(self.ring, u.arr[:, None, :], gv.arr), (0,))
+        return self.vector(u).dot(self.gram @ self.vector(v))
 
     def norm(self, v) -> PadicScalar:
         return self.pairing(v, v)
@@ -318,10 +316,9 @@ class QuadLattice:
         if not isinstance(other, QuadLattice) or other.ring != self.ring:
             raise ContextMismatch("ring contexts differ")
         r1, r2 = self.rank, other.rank
-        g = RingMat.zeros(self.ring, r1 + r2, r1 + r2)
-        g.arr[:, :r1, :r1] = self.gram.arr
-        g.arr[:, r1:, r1:] = other.gram.arr
-        return QuadLattice(self.ring, g)
+        rows = [row + [0] * r2 for row in self.gram.to_json()]
+        rows += [[0] * r1 + row for row in other.gram.to_json()]
+        return QuadLattice(self.ring, rows)
 
     def orthogonal_complement(self, vectors) -> list[RingVec]:
         """Basis of {x : x . s = 0 for all s in vectors}.

@@ -9,15 +9,23 @@ dimension 1 fits in a machine word, and object (Python ints) otherwise.
 The RingVec/RingMat constructor casts every array to that dtype, so every
 operation is exact and no array holds a mixture.
 
+This module is the one home of that layout: no other module reads the
+array or calls the raw RingVec(ctx, arr)/RingMat(ctx, arr) constructor,
+which belongs to linalg and takes an array that is already reduced mod p^n
+and in storage layout.  Other modules build arrays through the coercions
+and move entries between shapes with reshape, RingMat.stack and
+RingVec.dot.
+
 RingVec and RingMat share one private base, _RingArray, which holds the
 constructor and every operation that does not depend on shape: +, -,
-negation, scale, ==, is_zero, valuation, reduce_mod_p, lift_to and
-frobenius, each acting entrywise on the coefficient array and returning
-the caller's own type.  The subclasses keep only what reads the shape:
-their constructors, indexing, transpose, the products and to_json.
-RingVec.from_entries and RingMat.from_rows are the one coercion of each:
-they return an array of the same context as it is and raise
-ContextMismatch for one of any other context.
+negation, scale, ==, is_zero, valuation, reduce_mod_p, lift_to, frobenius
+and reshape, each acting entrywise on the coefficient array and returning
+the caller's own type (reshape: the type of the new shape).  The
+subclasses keep only what reads the shape: their constructors, stack,
+indexing, transpose, the products and to_json.  RingVec.from_entries and
+RingMat.from_rows are the one coercion of each: they return an array of
+the same context as it is and raise ContextMismatch for one of any other
+context.
 
 The product kernels compute directly on the stored arrays when
 m·k·(p^n-1)^2 < 2^63 for the call's inner dimension k (k = 1 for a scalar
@@ -190,6 +198,9 @@ class _RingArray:
     __slots__ = ("ctx", "arr")
 
     def __init__(self, ctx: RingContext, arr: np.ndarray):
+        """The raw constructor, private to linalg: arr must already be
+        reduced mod p^n of ctx and in storage layout (m, ...); it is cast
+        to the storage dtype and not reduced again."""
         self.ctx = ctx
         self.arr = arr.astype(storage_dtype(ctx), copy=False)
 
@@ -250,6 +261,18 @@ class _RingArray:
     def frobenius(self):
         return type(self)(self.ctx, _frobenius_array(self.ctx, self.arr))
 
+    def reshape(self, *shape: int):
+        """The same entries in row-major order, as a RingVec of one length
+        or a RingMat of rows x cols; any other shape raises
+        DimensionMismatch."""
+        ctx, size = self.ctx, self.arr.size
+        if len(shape) == 1 and shape[0] >= 0 and ctx.m * shape[0] == size:
+            return RingVec(ctx, self.arr.reshape(ctx.m, shape[0]))
+        if (len(shape) == 2 and shape[0] >= 0 and shape[1] >= 0
+                and ctx.m * shape[0] * shape[1] == size):
+            return RingMat(ctx, self.arr.reshape(ctx.m, *shape))
+        raise DimensionMismatch(f"cannot reshape {size // ctx.m} entries to {shape}")
+
 
 class RingVec(_RingArray):
     """Vector over a ring context; thin wrapper on a (m, r) array of reduced
@@ -290,13 +313,19 @@ class RingVec(_RingArray):
         return _entry(self.ctx, self.arr, (i,))
 
     def entries(self) -> list[PadicScalar]:
-        return [self.entry(i) for i in range(self.rank)]
+        return [PadicScalar(self.ctx, tuple(c)) for c in self.to_json()]
+
+    def dot(self, other: "RingVec") -> PadicScalar:
+        """The product sum_i self_i other_i of two vectors of one context
+        and rank, as one coefficient-array product."""
+        self._check(other)
+        return _entry(self.ctx, _matvec_arrays(self.ctx, self.arr[:, None, :], other.arr), (0,))
 
     def __repr__(self) -> str:
-        return f"RingVec({[s.coeffs if self.ctx.m > 1 else s.coeffs[0] for s in self.entries()]})"
+        return f"RingVec({[tuple(c) if self.ctx.m > 1 else c[0] for c in self.to_json()]})"
 
     def to_json(self) -> list[list[int]]:
-        return [list(s.coeffs) for s in self.entries()]
+        return self.arr.T.tolist()
 
 
 class RingMat(_RingArray):
@@ -326,6 +355,20 @@ class RingMat(_RingArray):
         coeffs = [[s.coeffs for s in row] for row in rows]
         arr = np.array(coeffs, dtype=storage_dtype(ctx)).reshape(r, c, ctx.m)
         return cls(ctx, np.ascontiguousarray(arr.transpose(2, 0, 1)))
+
+    @classmethod
+    def stack(cls, ctx: RingContext, mats: list["RingMat"]) -> "RingMat":
+        """The blocks of mats one above another; each must have ctx and the
+        column count of the first."""
+        if not mats:
+            raise InputError("need at least one block")
+        c = mats[0].cols
+        for i, mat in enumerate(mats):
+            if mat.ctx != ctx:
+                raise ContextMismatch(f"block {i}: {mat.ctx!r} vs {ctx!r}")
+            if mat.cols != c:
+                raise DimensionMismatch(f"block {i} has {mat.cols} columns vs {c}")
+        return cls(ctx, np.concatenate([mat.arr for mat in mats], axis=1))
 
     @classmethod
     def identity(cls, ctx: RingContext, r: int) -> "RingMat":
@@ -406,10 +449,7 @@ class RingMat(_RingArray):
         return bool((self.arr == self.arr.transpose(0, 2, 1)).all())
 
     def to_json(self) -> list[list[list[int]]]:
-        return [
-            [list(self.entry(i, j).coeffs) for j in range(self.cols)]
-            for i in range(self.rows)
-        ]
+        return self.arr.transpose(1, 2, 0).tolist()
 
 
 # ---------------------------------------------------------------------------

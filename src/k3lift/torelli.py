@@ -128,17 +128,21 @@ class ConnectionData:
         gamma_k = ctx.divided_power_factor(k) and M = M(n, p).
 
         Built with d (M - 2) matrix products on the first call and cached.
+        At n = 1 (M = 1) the series is its constant term and the result is
+        empty, so transport returns its input.
         """
         if self._stacks is None:
-            ctx, r = self.ctx, self.frame.rank
+            ctx = self.ctx
             bound = truncation_degree(ctx.n, ctx.p)
+            if bound == 1:
+                self._stacks = ()
+                return self._stacks
             stacks = []
             for di in self.matrices:
                 powers = accumulate([di] * (bound - 1), matmul)
-                stack = RingMat.zeros(ctx, (bound - 1) * r, r)
-                for k, power in enumerate(powers, 1):
-                    stack.arr[:, (k - 1) * r : k * r] = power.scale(ctx.divided_power_factor(k)).arr
-                stacks.append(stack)
+                stacks.append(RingMat.stack(ctx, [
+                    power.scale(ctx.divided_power_factor(k)) for k, power in enumerate(powers, 1)
+                ]))
             self._stacks = tuple(stacks)
         return self._stacks
 
@@ -224,12 +228,10 @@ def quadric_connection(frame: PeriodFrame) -> ConnectionData:
             raise InputError("split frame needs the middle block orthogonal to v_r")
     mats = []
     for i in range(1, r - 1):
-        d = RingMat.zeros(ctx, r, r)
-        d.arr[:, i, 0] = ctx.one().coeffs
-        for j in range(1, r - 1):
-            q = ctx.zero() - g.entry(i, j)
-            d.arr[:, r - 1, j] = q.coeffs
-        mats.append(d)
+        rows = [[0] * r for _ in range(r)]
+        rows[i][0] = 1
+        rows[r - 1][1 : r - 1] = [-g.entry(i, j) for j in range(1, r - 1)]
+        mats.append(RingMat.from_rows(ctx, rows))
     return ConnectionData(frame, mats)
 
 
@@ -247,8 +249,9 @@ def transport(conn: ConnectionData, point: DeformationPoint, y: RingVec) -> Ring
 
     Each factor is two products: the cached stack of gamma_k D_i^k
     (ConnectionData.transport_stacks) times the current vector gives every
-    term at once, and the row (a, a^2, ..., a^{M-1}) times those M - 1
-    blocks sums them.  A transport costs d matrix-vector products, d
+    term at once, and the row (a_i, a_i^2, ..., a_i^{M-1}) times those
+    M - 1 blocks sums them; the d rows are coerced together, as one d x
+    (M - 1) matrix.  A transport costs d matrix-vector products, d
     1 x (M - 1) by (M - 1) x r products and d (M - 2) scalar products; the
     first one on a connection also builds the stacks.
     """
@@ -258,13 +261,13 @@ def transport(conn: ConnectionData, point: DeformationPoint, y: RingVec) -> Ring
     if len(point) != conn.dimension:
         raise DimensionMismatch("deformation point dimension differs from connection")
     bound = truncation_degree(ctx.n, ctx.p)
+    powers = RingMat.from_rows(ctx, [
+        list(accumulate([pa.exact_div_p(1)] * (bound - 1), mul)) for pa in point.entries
+    ])
     out = y
-    for pa, stack in zip(point.entries, conn.transport_stacks()):
-        a = pa.exact_div_p(1)
-        row = RingVec.from_entries(ctx, list(accumulate([a] * (bound - 1), mul)))
-        terms = stack @ out
-        blocks = RingMat(ctx, terms.arr.reshape(ctx.m, bound - 1, out.rank))
-        out = out + (RingMat(ctx, row.arr[:, None, :]) @ blocks).row(0)
+    for i, stack in enumerate(conn.transport_stacks()):
+        terms = (stack @ out).reshape(bound - 1, y.rank)
+        out = out + (powers.row(i).reshape(1, bound - 1) @ terms).row(0)
     return out
 
 

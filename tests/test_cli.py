@@ -110,6 +110,52 @@ def test_constraints_refuses_in(args):
     }
 
 
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["constraints", "--phi", "12", "--seed", "3"], "--seed"),
+        (["constraints", "--phi", "12", "--ctx", "5,3,1"], "--ctx"),
+        (["--seed", "3", "constraints", "--phi", "12"], "--seed"),
+        (["--ctx", "5,3,1", "constraints", "--phi", "12"], "--ctx"),
+    ],
+)
+def test_constraints_refuses_ctx_and_seed(args, flag):
+    # constraints takes no ring and generates no sample: a flag it would
+    # ignore is an error, in either position
+    proc = run_cli(args)
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert proc.stderr.count(b"\n") == 1
+    assert err_json(proc) == {
+        "code": "InputError",
+        "message": f"constraints reads no payload; {flag} is not accepted",
+    }
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["constraints", "--thresholds", "1000000000000000003"], 0),
+        (["constraints", "--phi", "1000000000000000000000000000057"], 1),
+    ],
+)
+def test_constraints_on_large_integers_returns(args, code):
+    # the timeout only detects a hang (each call takes under a second, trial
+    # division up to sqrt(n) over a minute): primality is Miller-Rabin, and
+    # factoring stops its trial divisors at sqrt(FACTOR_LIMIT) and refuses a
+    # cofactor it cannot prove prime
+    proc = subprocess.run(
+        [sys.executable, "-m", "k3lift", *args], capture_output=True, timeout=30
+    )
+    assert proc.returncode == code
+    if code:
+        assert proc.stdout == b""
+        assert proc.stderr.count(b"\n") == 1
+        assert err_json(proc)["code"] == "InputError"
+    else:
+        assert out_json(proc)["thresholds"]["all_automorphisms_tame"] is True
+
+
 def test_constraints_scan_bound_is_limited():
     # the timeout only detects a hang: the refusal comes before any work
     proc = subprocess.run(
@@ -206,6 +252,21 @@ def test_isotropic_lift_precondition_failure():
     proc = run_cli(["isotropic-lift"], payload)
     assert proc.returncode == 2
     assert err_json(proc)["code"] == "NotNearIsotropic"
+
+
+def test_isotropic_lift_over_a_large_prime():
+    # p = 10^18 + 3: the ring's primality check must not trial-divide (up to
+    # sqrt(p) that takes over a minute); the timeout only detects a hang
+    p = 10**18 + 3
+    payload = {"ring": {"p": p, "n": 2}, "gram": [[p, 1], [1, 0]], "u": [1, 0], "v": [0, 1]}
+    proc = subprocess.run(
+        [sys.executable, "-m", "k3lift", "isotropic-lift"],
+        input=canonical_dumps(payload).encode(),
+        capture_output=True,
+        timeout=30,
+    )
+    assert proc.returncode == 0
+    assert out_json(proc)["norm"] == [0]
 
 
 @pytest.mark.parametrize("payload", [5, None, True])

@@ -13,7 +13,7 @@ from k3lift import (
     tameness,
     unique_order_check,
 )
-from k3lift.constraints import SCAN_LIMIT
+from k3lift.constraints import FACTOR_LIMIT, SCAN_LIMIT, prime_factors
 
 
 def test_euler_phi_values():
@@ -57,6 +57,36 @@ def test_primes_and_primality():
     assert primes_up_to(20) == [2, 3, 5, 7, 11, 13, 17, 19]
     assert is_prime(2) and is_prime(97) and is_prime(7919)
     assert not is_prime(1) and not is_prime(91)
+
+
+def test_is_prime_agrees_with_the_sieve():
+    primes = set(primes_up_to(10**5))
+    assert [n for n in range(-3, 10**5 + 1) if is_prime(n)] == sorted(primes)
+
+
+def test_is_prime_beyond_trial_division():
+    # psi_12 is a strong pseudoprime to every prime base up to 37
+    assert not is_prime(318665857834031151167461)
+    assert not is_prime(3825123056546413051)
+    assert is_prime(10**18 + 3)
+    psi_13 = 3317044064679887385961981
+    with pytest.raises(InputError):
+        is_prime(psi_13)
+
+
+def test_prime_factors_limit():
+    # trial divisors stop at sqrt(FACTOR_LIMIT); every n up to the limit
+    # factors, and so does a larger n whose cofactor is proven prime
+    assert prime_factors(FACTOR_LIMIT) == [2, 5]
+    assert prime_factors(999999999989) == [999999999989]
+    assert prime_factors(FACTOR_LIMIT + 1) == [73, 137, 99990001]
+    assert prime_factors(17**10 - 1) == [2, 3, 11, 71, 101, 88741]
+    assert prime_factors(2 * (10**18 + 3)) == [2, 10**18 + 3]
+    # a composite cofactor without small divisors, and one beyond psi_13
+    with pytest.raises(InputError, match="cannot factor 1000000016000000063"):
+        prime_factors((10**9 + 7) * (10**9 + 9))
+    with pytest.raises(InputError):
+        euler_phi(10**30 + 57)
 
 
 def test_tameness_examples():

@@ -151,6 +151,47 @@ def test_from_columns_rejects_ragged_and_foreign_columns():
         RingMat.from_columns(C, [RingVec.from_entries(RingContext(5, 2, 1), [1, 2])])
 
 
+def test_reshape_keeps_row_major_order():
+    ctx = RingContext(3, 2, 2)
+    x = ctx.scalar([1, 2])
+    a = RingMat.from_rows(ctx, [[1, x, 2], [x, 0, 4]])
+    flat = a.reshape(1, 6)
+    assert flat == RingMat.from_rows(ctx, [[1, x, 2, x, 0, 4]])
+    assert flat.reshape(2, 3) == a
+    assert a.reshape(6) == RingVec.from_entries(ctx, [1, x, 2, x, 0, 4])
+    assert a.reshape(6).reshape(3, 2) == RingMat.from_rows(ctx, [[1, x], [2, x], [0, 4]])
+    for shape in [(4,), (4, 2), (1, 2, 3), (), (-6,), (-2, -3), (6, -1)]:
+        with pytest.raises(DimensionMismatch):
+            a.reshape(*shape)
+
+
+def test_stack_checks_every_block():
+    a = _mat(C, [[1, 2]])
+    b = _mat(C, [[3, 4], [5, 6]])
+    assert RingMat.stack(C, [a, b]) == _mat(C, [[1, 2], [3, 4], [5, 6]])
+    with pytest.raises(InputError):
+        RingMat.stack(C, [])
+    with pytest.raises(ContextMismatch, match="block 1"):
+        RingMat.stack(C, [a, RingMat.from_rows(RingContext(5, 2, 1), [[1, 2]])])
+    with pytest.raises(DimensionMismatch, match="block 1 has 3 columns vs 2"):
+        RingMat.stack(C, [a, _mat(C, [[1, 2, 3]])])
+
+
+def test_dot_is_the_identity_pairing():
+    ctx = RingContext(3, 2, 2)
+    rng = random.Random(5)
+    u = RingVec.from_entries(ctx, [random_scalar(rng, ctx) for _ in range(4)])
+    v = RingVec.from_entries(ctx, [random_scalar(rng, ctx) for _ in range(4)])
+    lat = QuadLattice(ctx, RingMat.identity(ctx, 4))
+    assert u.dot(v) == lat.pairing(u, v) == sum(
+        (a * b for a, b in zip(u.entries(), v.entries())), ctx.zero()
+    )
+    with pytest.raises(DimensionMismatch):
+        u.dot(RingVec.zeros(ctx, 3))
+    with pytest.raises(ContextMismatch):
+        u.dot(RingVec.zeros(C, 4))
+
+
 def test_solve_in_span_rejects_a_basis_of_another_rank():
     basis = [RingVec.from_entries(C, [1, 2])]
     with pytest.raises(DimensionMismatch, match="basis rank 2 vs target rank 3"):

@@ -1,7 +1,7 @@
 """Repository-level checks: no assert statements, no float constants and
-no RingMat isinstance test outside linalg in the package, no new raw
-RingVec/RingMat construction outside linalg, one home for each shape-free
-ring-array operation, CLI handlers that read no stream, and the benchmark
+no RingMat isinstance test outside linalg in the package, no use of the
+ring-array layout outside linalg, one home for each shape-free ring-array
+operation, CLI handlers that read no stream, and the benchmark
 harness runs end to end."""
 
 import ast
@@ -9,7 +9,6 @@ import json
 import pathlib
 import subprocess
 import sys
-from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "k3lift"
@@ -54,26 +53,31 @@ def test_matrix_coercion_has_one_home():
     assert [f for f in found if not f.startswith("linalg.py:")] == []
 
 
-def _raw_ring_array_call(node):
-    """node calls RingVec(...) or RingMat(...) itself, not a classmethod."""
-    if not isinstance(node, ast.Call):
-        return False
-    func = node.func
-    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-    return name in ("RingVec", "RingMat")
+def _touches_ring_array_layout(node):
+    """node calls RingVec(...) or RingMat(...) itself (not a classmethod),
+    reads or writes .arr, or imports or reads an underscore name of
+    linalg."""
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        return name in ("RingVec", "RingMat")
+    if isinstance(node, ast.Attribute):
+        return node.attr == "arr" or (
+            isinstance(node.value, ast.Name) and node.value.id == "linalg"
+            and node.attr.startswith("_")
+        )
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".")[-1] == "linalg" and any(
+            alias.name.startswith("_") for alias in node.names
+        )
+    return False
 
 
-# the raw constructors take unreduced arrays; these calls predate the
-# ratchet, which may only shrink (to none once the constructors are private)
-_RAW_RING_ARRAY_CALLS = Counter({"isometry.py": 3, "torelli.py": 2})
-
-
-def test_raw_ring_array_calls_only_shrink():
-    found = Counter(
-        f.split(":")[0] for f in _package_nodes(_raw_ring_array_call)
-        if not f.startswith("linalg.py:")
-    )
-    assert found <= _RAW_RING_ARRAY_CALLS
+def test_ring_array_layout_has_one_home():
+    # the (m, rows, cols) coefficient array is linalg's alone: the raw
+    # constructors take an array already reduced and in storage layout
+    found = _package_nodes(_touches_ring_array_layout)
+    assert [f for f in found if not f.startswith("linalg.py:")] == []
 
 
 def _linalg_methods():

@@ -148,6 +148,18 @@ def test_transport_stacked_product_count_at_rank_22(monkeypatch):
         assert calls == Counter(per_transport)
 
 
+def test_transport_at_precision_one_is_the_identity():
+    # M(1, p) = 1: the series is its constant term, so there are no stacks
+    ctx = RingContext(5, 1, 1)
+    rng = Random(1)
+    conn = random_connection(rng, ctx, 3)
+    point = random_deformation_point(rng, conn)
+    y = RingVec.basis_vector(ctx, conn.frame.rank, 0)
+    assert conn.transport_stacks() == ()
+    assert transport(conn, point, y) == y
+    assert phi_map(conn, point) == (ctx.zero(),) * 3
+
+
 def test_phi_invert_builds_stacks_once(monkeypatch):
     ctx = RingContext(5, 6, 1)
     rng = Random(66)

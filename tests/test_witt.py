@@ -96,6 +96,14 @@ def test_cube_roots_of_unity_mod_49():
     assert roots[2] == roots[1] * roots[1]
 
 
+def test_roots_of_unity_with_large_residue_field():
+    # q - 1 = 17^10 - 1 is above constraints.FACTOR_LIMIT and still factors
+    ctx = RingContext(17, 2, 10)
+    roots = ctx.nth_roots_of_unity(11)
+    assert len(set(roots)) == 11
+    assert roots[1] ** 11 == ctx.one()
+
+
 def test_roots_of_unity_trivial_and_errors():
     assert C721.nth_roots_of_unity(1) == [C721.one()]
     with pytest.raises(InsufficientResidueField):
