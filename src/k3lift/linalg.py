@@ -27,11 +27,16 @@ RingMat.from_rows are the one coercion of each: they return an array of
 the same context as it is and raise ContextMismatch for one of any other
 context.
 
-The product kernels compute directly on the stored arrays when
-m·k·(p^n-1)^2 < 2^63 for the call's inner dimension k (k = 1 for a scalar
-product), which no partial sum can then overflow.  Otherwise they cast
-their operands to Python ints for that one call and cast the reduced
-result back to the storage dtype.  Moving an array to another context
+Every matrix and vector product goes through _mul_arrays, which picks one
+of three tiers by the bound m·k·(p^n-1)^2 on every partial sum for the
+call's inner dimension k (_kernel_dtype): float64 below 2^53, where double
+arithmetic on these integers is exact and the product is one BLAS GEMM;
+int64 below 2^63, which no partial sum can overflow; and Python ints
+otherwise.  A product with m > 1 is one np.dot as well, of the stacked
+coefficient matrices against a block-Toeplitz matrix (_mul_native).  The
+float tier exists only inside a product call: its result is cast to int64
+before it is reduced mod p^n, and every result is cast back to the storage
+dtype, which is never float64.  Moving an array to another context
 (lift_to, reduce_mod_p) widens it to Python ints before the reduction when
 the target stores Python ints, and narrows it after.  Entries leave as
 Python ints: entry(), entries() and to_json() never expose numpy scalars.
@@ -67,6 +72,7 @@ from .errors import (
 )
 from .witt import PadicScalar, RingContext
 
+_FLOAT64 = np.dtype(np.float64)
 _INT64 = np.dtype(np.int64)
 _OBJECT = np.dtype(object)
 
@@ -75,23 +81,33 @@ _OBJECT = np.dtype(object)
 
 
 def _kernel_dtype(ctx: RingContext, k: int) -> np.dtype:
-    """int64 when m·max(k, 1)·(p^n-1)^2 < 2^63, else object.
+    """The dtype a product with inner dimension k (k = 1 for a scalar
+    product) computes in: float64 when m·max(k, 1)·(p^n-1)^2 < 2^53, int64
+    when that bound is below 2^63, else object.
 
-    For a product with inner dimension k (k = 1 for a scalar product) every
-    coefficient of the degree convolution is a sum of at most m·k products
-    of residues, so under that bound it fits in int64.  _poly_reduce
-    reduces the convolution mod p^n before the x^k table, so the table step
-    sums at most m - 1 products of residues plus one residue and fits too.
+    Every coefficient of the degree convolution is a sum of at most m·k
+    products of residues in [0, p^n), so it is at most that bound, and so
+    is every partial sum of it, in any order.  Below 2^53 every such
+    partial sum, and every product of two residues, is an integer that a
+    double holds exactly, so a float64 GEMM (BLAS, with or without FMA)
+    rounds nothing.  Below 2^63 it fits in int64.  _poly_reduce reduces the
+    convolution mod p^n before the x^k table, so the table step sums at
+    most m - 1 products of residues plus one residue and fits too.
     """
-    return _INT64 if ctx.m * max(k, 1) * (ctx.pn - 1) ** 2 < 2**63 else _OBJECT
+    bound = ctx.m * max(k, 1) * (ctx.pn - 1) ** 2
+    if bound < 2**53:
+        return _FLOAT64
+    return _INT64 if bound < 2**63 else _OBJECT
 
 
 def storage_dtype(ctx: RingContext) -> np.dtype:
-    """The dtype every RingVec/RingMat array of ctx is stored in: the
-    kernel dtype at inner dimension 1, computed once per context."""
+    """The dtype every RingVec/RingMat array of ctx is stored in: object
+    when the kernel dtype at inner dimension 1 is object, else int64 (the
+    float tier lives only inside a product call); computed once per
+    context."""
     dt = ctx._storage_dtype
     if dt is None:
-        dt = ctx._storage_dtype = _kernel_dtype(ctx, 1)
+        dt = ctx._storage_dtype = _OBJECT if _kernel_dtype(ctx, 1) is _OBJECT else _INT64
     return dt
 
 
@@ -120,17 +136,33 @@ def _poly_reduce(ctx: RingContext, conv: np.ndarray) -> np.ndarray:
     return out % pn
 
 
-def _mul_native(ctx: RingContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of (m, r, k) and (m, k, c) coefficient arrays in the operands'
-    own dtype, which the caller has chosen so that no sum overflows."""
-    m = ctx.m
+def _mul_native(ctx: RingContext, a: np.ndarray, b: np.ndarray, dt: np.dtype) -> np.ndarray:
+    """Product of (m, r, k) and (m, k, c) coefficient arrays of residues as
+    one np.dot in dt, which the caller has chosen by _kernel_dtype so that
+    no partial sum overflows or, in float64, rounds.  The operands are cast
+    to dt as the dot's inputs are built.  The result is reduced mod p^n, in
+    int64 for dt = float64: the float sums are exact integers, so they are
+    cast first (to C order, so that _poly_reduce reads contiguous blocks),
+    and int64 % is far cheaper than np.fmod.
+
+    For m > 1 the degree convolution is the r x mk stack [a_0 | ... |
+    a_{m-1}] times the mk x (2m-1)c block-Toeplitz matrix whose block (i, d)
+    is b_{d-i} (zero outside 0 <= d - i < m): block d of the product is
+    sum_i a_i b_{d-i}, a sum of m·k products of residues."""
+    m, (_, r, k), c = ctx.m, a.shape, b.shape[2]
     if m == 1:
-        return np.dot(a[0], b[0])[None] % ctx.pn
-    conv = np.zeros((2 * m - 1,) + (a.shape[1], b.shape[2]), dtype=a.dtype)
-    for i in range(m):
-        for j in range(m):
-            conv[i + j] = conv[i + j] + np.dot(a[i], b[j])
-    return _poly_reduce(ctx, conv)
+        conv = np.dot(a[0].astype(dt, copy=False), b[0].astype(dt, copy=False))[None]
+    else:
+        toeplitz = np.zeros((m, k, 2 * m - 1, c), dtype=dt)
+        rows = b.transpose(1, 0, 2)
+        for i in range(m):
+            toeplitz[i, :, i : i + m] = rows
+        stack = a.transpose(1, 0, 2).astype(dt, order="C").reshape(r, m * k)
+        conv = np.dot(stack, toeplitz.reshape(m * k, (2 * m - 1) * c))
+        conv = conv.reshape(r, 2 * m - 1, c).transpose(1, 0, 2)
+    if dt is _FLOAT64:
+        conv = conv.astype(_INT64, order="C")
+    return conv % ctx.pn if m == 1 else _poly_reduce(ctx, conv)
 
 
 def _scal_native(ctx: RingContext, s: tuple[int, ...], a: np.ndarray) -> np.ndarray:
@@ -149,10 +181,9 @@ def _scal_native(ctx: RingContext, s: tuple[int, ...], a: np.ndarray) -> np.ndar
 
 
 def _mul_arrays(ctx: RingContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of (m, r, k) and (m, k, c) coefficient arrays, returned in
-    the storage dtype."""
-    dt = _kernel_dtype(ctx, a.shape[2])
-    out = _mul_native(ctx, a.astype(dt, copy=False), b.astype(dt, copy=False))
+    """Product of (m, r, k) and (m, k, c) coefficient arrays, computed in the
+    kernel dtype of inner dimension k and returned in the storage dtype."""
+    out = _mul_native(ctx, a, b, _kernel_dtype(ctx, a.shape[2]))
     return out.astype(storage_dtype(ctx), copy=False)
 
 
@@ -474,7 +505,7 @@ class _FieldTables:
         self.place = p ** np.arange(m, dtype=np.intp)
         self.digits = (np.arange(res.q, dtype=np.intp) // self.place[:, None]) % p
         d = self.digits
-        self.mul = np.tensordot(self.place, _mul_native(res, d[:, :, None], d[:, None, :]), axes=1)
+        self.mul = np.tensordot(self.place, _mul_arrays(res, d[:, :, None], d[:, None, :]), axes=1)
         self.sub = np.tensordot(self.place, (d[:, :, None] - d[:, None, :]) % p, axes=1)
         self.inv = np.argmax(self.mul == 1, axis=1)
 
@@ -511,7 +542,7 @@ def _residue_sweep(
     clears its column with one rank-1 update, work - f (x) pivot row, where
     f is the column with the pivot row's own entry zeroed.  With q <=
     _TABLE_MAX_Q the sweep runs on codes, so that update is two table
-    lookups; above it the sweep runs on coefficients through _mul_native.
+    lookups; above it the sweep runs on coefficients through _mul_arrays.
     """
     tables = _field_tables(res)
     if tables is None:
@@ -522,7 +553,7 @@ def _residue_sweep(
             work[:, cur, :] = _scal_native(res, inv, work[:, cur, :])
 
         def eliminate(f, cur):
-            work[...] = (work - _mul_native(res, f[:, :, None], work[:, cur : cur + 1, :])) % res.p
+            work[...] = (work - _mul_arrays(res, f[:, :, None], work[:, cur : cur + 1, :])) % res.p
 
     else:
         mul, sub, inv = tables.mul, tables.sub, tables.inv

@@ -415,27 +415,25 @@ class RingContext:
         return self.scalar(out)
 
     def _residue_generator(self) -> "PadicScalar":
-        """Deterministic generator of F_q^* (smallest by coefficient index)."""
+        """Deterministic generator of F_q^* (smallest by coefficient index).
+
+        Index i < p is the constant i, whose order divides p - 1; for m > 1
+        that is below q - 1, so the scan starts at index p there."""
         if self._generator is not None:
             return self._generator
         res = self.residue_context()
         order = self.q - 1
         factors = prime_factors(order)
-        idx = 1
-        while True:
-            idx += 1
+        for idx in range(2 if self.m == 1 else self.p, self.q):
             coeffs, k = [], idx
             for _ in range(self.m):
                 coeffs.append(k % self.p)
                 k //= self.p
-            if idx >= self.q:
-                raise InputError("failed to find residue-field generator")
             g = res.scalar(coeffs)
-            if g.is_zero():
-                continue
             if all((g ** (order // ell)).coeffs != res.one().coeffs for ell in factors):
                 self._generator = g
                 return g
+        raise InputError("failed to find residue-field generator")
 
     def nth_roots_of_unity(self, n_roots: int) -> list["PadicScalar"]:
         """All N-th roots of unity as Teichmuller lifts, in power order

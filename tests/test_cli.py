@@ -210,6 +210,20 @@ def test_eig_split_sample_determinism():
     assert different.stdout != first.stdout
 
 
+def test_eig_split_over_a_large_prime_with_m_2():
+    # the residue generator of F_q, q = (10^6 + 3)^2, must not be searched
+    # among the constants of F_p; the timeout only detects a hang: the call
+    # takes under a second
+    proc = subprocess.run(
+        [sys.executable, "-m", "k3lift", "eig-split", "--ctx", "1000003,2,2"],
+        input=canonical_dumps({"sample": {"rank": 4, "order": 3}}).encode(),
+        capture_output=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert sum(c["rank"] for c in out_json(proc)["components"]) == 4
+
+
 def test_eig_split_sample_needs_ctx():
     proc = run_cli(["eig-split"], {"sample": {"rank": 4, "order": 3}})
     assert proc.returncode == 1

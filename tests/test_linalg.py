@@ -369,10 +369,6 @@ def _coeff_array(ctx, shape, draw_entry):
     return arr
 
 
-def _takes_int64(ctx, k):
-    return linalg._kernel_dtype(ctx, k) == np.int64
-
-
 def _check_kernels(ctx, a, b, s):
     """_mul_arrays, _matvec_arrays and _scal_arrays against the reference;
     every result is in the context's storage dtype."""
@@ -400,7 +396,7 @@ KERNEL_CONTEXTS = [(3, 4, 1), (5, 3, 2), (7, 2, 3), (3, 20, 1), (5, 20, 2), (3, 
 def test_kernels_agree_with_python_ints(spec, data):
     ctx = RingContext(*spec)
     r, k, c = (data.draw(st.integers(1, 4)) for _ in range(3))
-    assert _takes_int64(ctx, k) == (ctx.pn < 10**6)
+    assert linalg._kernel_dtype(ctx, k) == (np.float64 if ctx.pn < 10**6 else object)
     entry = st.one_of(st.just(ctx.pn - 1), st.integers(0, ctx.pn - 1))
     a = _coeff_array(ctx, (r, k), lambda: data.draw(entry))
     b = _coeff_array(ctx, (k, c), lambda: data.draw(entry))
@@ -416,18 +412,73 @@ def test_int64_threshold(m):
     top = ctx.pn - 1
     k_star = (2**63 - 1) // (m * top**2)
     assert 1 <= k_star <= 6
-    for k, int64 in ((k_star, True), (k_star + 1, False)):
-        assert _takes_int64(ctx, k) == int64
+    for k, dt in ((k_star, np.int64), (k_star + 1, object)):
+        assert linalg._kernel_dtype(ctx, k) == dt
         a = _coeff_array(ctx, (2, k), lambda: top)
         b = _coeff_array(ctx, (k, 2), lambda: top)
         _check_kernels(ctx, a, b, (top,) * m)
     # a scalar product is inner dimension 1: the bound moves with p^n alone
-    assert _takes_int64(ctx, 1)
+    assert linalg._kernel_dtype(ctx, 1) == np.int64
     wide = RingContext(3, 20, m)
-    assert not _takes_int64(wide, 1)
+    assert linalg._kernel_dtype(wide, 1) == object
     for c in (ctx, wide):
         a = _coeff_array(c, (3, 1), lambda: c.pn - 1)
         _check_kernels(c, a, _coeff_array(c, (1, 1), lambda: c.pn - 1), (c.pn - 1,) * m)
+
+
+def _product_dtypes(ctx, run, monkeypatch):
+    """The dtypes that the products at the precision of ctx compute in
+    while run() runs."""
+    seen = set()
+    native = linalg._mul_native
+
+    def spy(c, x, y, dt):
+        if c.n == ctx.n:
+            seen.add(dt)
+        return native(c, x, y, dt)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_mul_native", spy)
+        run()
+    return seen
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_float64_threshold(m, monkeypatch):
+    # K = floor((2^53 - 1) / (m (p^n - 1)^2)) is the largest inner dimension
+    # the float64 path takes; all entries p^n - 1 make every sum its largest
+    ctx = RingContext(3, 16, m)
+    top = ctx.pn - 1
+    k_float = (2**53 - 1) // (m * top**2)
+    assert 1 <= k_float <= 4
+    for k, dt in ((k_float, np.float64), (k_float + 1, np.int64)):
+        assert linalg._kernel_dtype(ctx, k) == dt
+        a = _coeff_array(ctx, (2, k), lambda: top)
+        b = _coeff_array(ctx, (k, 2), lambda: top)
+        seen = _product_dtypes(ctx, lambda: _check_kernels(ctx, a, b, (top,) * m), monkeypatch)
+        assert seen == {np.dtype(dt)}
+    assert linalg.storage_dtype(ctx) == np.int64
+
+
+@pytest.mark.parametrize("spec", [(5, 4, 1), (5, 4, 2), (7, 2, 3), (3, 18, 2), (3, 20, 3)])
+def test_product_is_one_dot(spec, monkeypatch):
+    # every tier, and every m: the degree convolution is one np.dot
+    ctx = RingContext(*spec)
+    rng = random.Random(sum(spec))
+    a = _coeff_array(ctx, (3, 22), lambda: rng.randrange(ctx.pn))
+    b = _coeff_array(ctx, (22, 2), lambda: rng.randrange(ctx.pn))
+    calls = []
+    dot = np.dot
+
+    def spy(x, y):
+        calls.append(x.dtype)
+        return dot(x, y)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "dot", spy)
+        got = linalg._mul_arrays(ctx, a, b)
+    assert calls == [linalg._kernel_dtype(ctx, 22)]
+    assert [int(x) for x in got.flat] == list(_ref_matmul(ctx, a, b).flat)
 
 
 def _rref_unit(ctx, work):
@@ -451,7 +502,9 @@ def _rref_unit(ctx, work):
         work[:, cur, :] = linalg._scal_native(ctx, inv, work[:, cur, :])
         f = work[:, :, col].copy()
         f[:, cur] = 0
-        work[...] = (work - linalg._mul_native(ctx, f[:, :, None], work[:, cur : cur + 1, :])) % pn
+        # in the storage dtype, which inner dimension 1 never overflows
+        row = work[:, cur : cur + 1, :]
+        work[...] = (work - linalg._mul_native(ctx, f[:, :, None], row, work.dtype)) % pn
         pivots.append(col)
         cur += 1
         if cur == r:
@@ -628,21 +681,22 @@ def _elimination_results(fns, a, sing, defect, basis, inside, outside, dependent
     ]
 
 
-# whether the last Newton step of a rank-22 inverse, at precision n, runs in
-# int64: m 22 (p^n - 1)^2 < 2^63 holds for (3, 18, m) with m <= 2 and fails
-# for (3, 18, 3) and every (3, 19, m)
-SWEEP_INT64 = {
-    (5, 4, 2): True,
-    (7, 6, 2): True,
-    (5, 20, 2): False,
-    (3, 19, 1): False,
-    (3, 19, 2): False,
-    (3, 19, 3): False,
-    (3, 20, 1): False,
-    (3, 20, 2): False,
-    (3, 20, 3): False,
-    (3, 18, 2): True,
-    (3, 18, 3): False,
+# the dtype the last Newton step of a rank-22 inverse, at precision n,
+# computes in: m 22 (p^n - 1)^2 < 2^53 holds for (5, 4, 2) and (7, 6, 2),
+# < 2^63 for (3, 18, m) with m <= 2, and fails for (3, 18, 3) and every
+# (3, 19, m)
+SWEEP_DTYPES = {
+    (5, 4, 2): np.float64,
+    (7, 6, 2): np.float64,
+    (5, 20, 2): object,
+    (3, 19, 1): object,
+    (3, 19, 2): object,
+    (3, 19, 3): object,
+    (3, 20, 1): object,
+    (3, 20, 2): object,
+    (3, 20, 3): object,
+    (3, 18, 2): np.int64,
+    (3, 18, 3): object,
 }
 
 
@@ -650,27 +704,18 @@ def _sweep_dtypes(ctx, a, monkeypatch):
     """The dtypes the products at the precision of ctx compute in while
     inverting the unimodular 1 + p a: the residue sweep runs at precision 1,
     the Newton products at n."""
-    seen = set()
-    native = linalg._mul_native
-
-    def spy(c, x, y):
-        if c.n == ctx.n:
-            seen.add(x.dtype)
-        return native(c, x, y)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(linalg, "_mul_native", spy)
-        linalg.inverse(RingMat.identity(ctx, a.rows) + a.scale(ctx.p))
-    return seen
+    return _product_dtypes(
+        ctx, lambda: linalg.inverse(RingMat.identity(ctx, a.rows) + a.scale(ctx.p)), monkeypatch
+    )
 
 
-@pytest.mark.parametrize("spec", list(SWEEP_INT64))
+@pytest.mark.parametrize("spec", list(SWEEP_DTYPES))
 def test_elimination_matches_per_row_sweep_at_rank_22(spec, monkeypatch):
     ctx = RingContext(*spec)
     inputs = _elimination_inputs(ctx, 22, random.Random(sum(spec)))
     a = inputs[0]
-    assert _sweep_dtypes(ctx, a, monkeypatch) == {np.dtype(np.int64 if SWEEP_INT64[spec] else object)}
-    assert SWEEP_INT64[spec] == (linalg._kernel_dtype(ctx, 22) == np.int64)
+    assert _sweep_dtypes(ctx, a, monkeypatch) == {np.dtype(SWEEP_DTYPES[spec])}
+    assert linalg._kernel_dtype(ctx, 22) == SWEEP_DTYPES[spec]
     new = _elimination_results(linalg, *inputs)
     assert new == _elimination_results(_oracle(_rref_unit), *inputs)
     assert new == _elimination_results(_oracle(_per_row_rref), *inputs)

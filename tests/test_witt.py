@@ -1,6 +1,8 @@
 """Scalar ring: frozen oracle values and exhaustive small-field properties."""
 
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -102,6 +104,37 @@ def test_roots_of_unity_with_large_residue_field():
     roots = ctx.nth_roots_of_unity(11)
     assert len(set(roots)) == 11
     assert roots[1] ** 11 == ctx.one()
+
+
+@pytest.mark.parametrize(
+    "spec, generator",
+    [
+        ((3, 2, 2), (1, 1)),
+        ((5, 3, 2), (1, 1)),
+        ((13, 2, 2), (2, 1)),
+        ((7, 2, 3), (1, 3, 0)),
+        ((3, 1, 4), (0, 1, 0, 0)),
+    ],
+)
+def test_residue_generator_is_pinned(spec, generator):
+    # the smallest generator of F_q^* by coefficient index; for m > 1 the
+    # scan skips the constants, none of which generates
+    assert RingContext(*spec)._residue_generator().coeffs == generator
+
+
+def test_roots_of_unity_over_a_large_prime_with_m_2():
+    # q - 1 = 1000002 * 1000004 factors at once; a scan that tried the 10^6
+    # constants of F_p first would take over a minute.  The timeout only
+    # detects a hang: the call takes under a second.
+    code = (
+        "from k3lift import RingContext\n"
+        "ctx = RingContext(1000003, 2, 2)\n"
+        "roots = ctx.nth_roots_of_unity(3)\n"
+        "print(len(set(roots)), roots[1] ** 3 == ctx.one(), roots[1].coeffs[1])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.split() == [b"3", b"True", b"0"]
 
 
 def test_roots_of_unity_trivial_and_errors():
