@@ -92,13 +92,18 @@ def is_prime(n: int) -> bool:
 
 
 def multiplicative_order(a: int, modulus: int) -> int:
-    """Least t >= 1 with a^t = 1 mod modulus; requires gcd(a, modulus) = 1."""
+    """Least t >= 1 with a^t = 1 mod modulus; requires gcd(a, modulus) = 1.
+
+    The order divides phi(modulus): starting there, each prime q of phi is
+    divided out while a^(t/q) = 1 still holds.  The work is that of factoring
+    modulus and phi(modulus), bounded by FACTOR_LIMIT: where prime_factors
+    cannot split either, it raises InputError."""
     if modulus < 1 or gcd(a, modulus) != 1:
         raise InputError("multiplicative order needs gcd(a, modulus) = 1")
-    t, power, one = 1, a % modulus, 1 % modulus
-    while power != one:
-        power = power * a % modulus
-        t += 1
+    t = euler_phi(modulus)
+    for q in prime_factors(t):
+        while t % q == 0 and pow(a, t // q, modulus) == 1 % modulus:
+            t //= q
     return t
 
 

@@ -1,62 +1,20 @@
-"""Newton-Hensel solvers over truncated Witt rings.
+"""Newton-Hensel constructions on lattices over truncated Witt rings.
 
-Three constructions: lifting a simple polynomial root to full precision,
-building an isotropic vector w = u + p a v from a near-isotropic u with a
-unit pairing, and orthogonalizing a vector against a target with a single
-linear solve.  Each returns exact data at precision n; failed preconditions
-raise typed errors instead of producing approximate output.
+Two constructions: building an isotropic vector w = u + p a v from a
+near-isotropic u with a unit pairing, and orthogonalizing a vector against
+a target with a single linear solve.  Each returns exact data at precision
+n; failed preconditions raise typed errors instead of producing approximate
+output.  The scalar root lifter and its polynomial helpers (hensel_root,
+poly_eval, poly_derivative) are ring arithmetic and live in witt; they are
+re-exported here under their old names.
 """
 
 from __future__ import annotations
 
-from .errors import (
-    BadPairing,
-    NonSimpleRoot,
-    NoConvergence,
-    NonUnitPivot,
-    NotNearIsotropic,
-)
+from .errors import BadPairing, NonUnitPivot, NotNearIsotropic
 from .lattice import QuadLattice
 from .linalg import RingVec
-from .witt import PadicScalar, RingContext
-
-
-def poly_eval(ctx: RingContext, coeffs, x: PadicScalar) -> PadicScalar:
-    """Evaluate sum coeffs[k] x^k (ascending degree) by Horner."""
-    acc = ctx.zero()
-    for c in reversed([ctx.scalar(c) for c in coeffs]):
-        acc = acc * x + c
-    return acc
-
-
-def poly_derivative(ctx: RingContext, coeffs) -> list[PadicScalar]:
-    scalars = [ctx.scalar(c) for c in coeffs]
-    return [ctx.scalar(k) * scalars[k] for k in range(1, len(scalars))]
-
-
-def hensel_root(ctx: RingContext, coeffs, x0) -> PadicScalar:
-    """Unique root of f congruent to x0 mod p, for a simple residue root.
-
-    coeffs lists f in ascending degree.  Requires f(x0) = 0 mod p and
-    f'(x0) a unit; Newton doubles the precision each step, so
-    ceil(log2(n)) + 1 steps always suffice.
-    """
-    x = ctx.scalar(x0)
-    fprime = poly_derivative(ctx, coeffs)
-    d0 = poly_eval(ctx, fprime, x)
-    if not d0.is_unit():
-        raise NonSimpleRoot("derivative at the initial point is not a unit")
-    if poly_eval(ctx, coeffs, x).valuation() < 1:
-        raise NonSimpleRoot("initial point is not a root modulo p")
-    steps = max(1, (ctx.n - 1).bit_length()) + 1
-    for _ in range(steps):
-        fx = poly_eval(ctx, coeffs, x)
-        if fx.is_zero():
-            break
-        x = x - fx * poly_eval(ctx, fprime, x).inverse()
-    if not poly_eval(ctx, coeffs, x).is_zero():
-        raise NoConvergence(f"Newton iteration left f(x) nonzero after {steps} steps")
-    return x
+from .witt import PadicScalar, hensel_root, poly_derivative, poly_eval  # noqa: F401
 
 
 def isotropic_combination(

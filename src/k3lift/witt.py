@@ -4,7 +4,10 @@ The unramified extension is modeled as (Z/p^n)[x] / (f) for a monic degree-m
 modulus f whose reduction mod p is irreducible.  Scalars are coefficient
 tuples in that quotient; every public value is an exact integer, never a
 float.  The residue field F_{p^m} is the same ring at precision n = 1, so
-reduction mod p is just a change of context.
+reduction mod p is just a change of context, and the irreducibility of f is
+tested there, with the ring's own product.  Polynomials over the ring live
+here too: Horner evaluation, derivatives and Newton-Hensel roots, which
+also give the Frobenius lift on the class of x.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from .errors import (
     InputError,
     InsufficientResidueField,
     NoConvergence,
+    NonSimpleRoot,
     NonUnit,
     NotTame,
     ValuationViolation,
@@ -38,82 +42,13 @@ def _exact_int(c, name: str | None = None) -> int:
     raise InputError(f"{name} must be an integer, got {c!r}")
 
 
-# ---------------------------------------------------------------------------
-# small F_p[x] helpers used only for modulus generation
-
-
-def _fp_polymod(poly: list[int], f: list[int], p: int) -> list[int]:
-    """Reduce poly modulo the monic polynomial f over F_p."""
-    poly = [c % p for c in poly]
-    m = len(f) - 1
-    for i in range(len(poly) - 1, m - 1, -1):
-        c = poly[i]
-        if c:
-            for j in range(m + 1):
-                poly[i - m + j] = (poly[i - m + j] - c * f[j]) % p
-    del poly[m:]
-    while len(poly) < m:
-        poly.append(0)
-    return poly
-
-
-def _fp_polymulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    return _fp_polymod(prod, f, p)
-
-
-def _fp_polypowmod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
-    result = [1] + [0] * (len(f) - 2)
-    base = _fp_polymod(list(a), f, p)
-    while e:
-        if e & 1:
-            result = _fp_polymulmod(result, base, f, p)
-        base = _fp_polymulmod(base, base, f, p)
-        e >>= 1
-    return result
-
-
-def _fp_polygcd(a: list[int], b: list[int], p: int) -> list[int]:
-    def trim(u):
-        while u and u[-1] == 0:
-            u.pop()
-        return u
-
-    a, b = trim([c % p for c in a]), trim([c % p for c in b])
-    while b:
-        inv_lead = pow(b[-1], -1, p)
-        b_monic = [(c * inv_lead) % p for c in b]
-        r = list(a)
-        while len(r) >= len(b_monic) and trim(r):
-            shift = len(r) - len(b_monic)
-            c = r[-1]
-            for j, fj in enumerate(b_monic):
-                r[shift + j] = (r[shift + j] - c * fj) % p
-            r = trim(r)
-        a, b = b, r
-    return a
-
-
-def _is_irreducible_mod_p(f: list[int], p: int) -> bool:
-    """Rabin test: f monic of degree m is irreducible over F_p."""
-    m = len(f) - 1
-    if m == 1:
-        return True
-    x = [0, 1]
-    xq = _fp_polypowmod(x, p**m, f, p)
-    if xq != _fp_polymod(list(x), f, p):
-        return False
-    for ell in prime_factors(m):
-        h = _fp_polypowmod(x, p ** (m // ell), f, p)
-        diff = [(h[i] - (1 if i == 1 else 0)) % p for i in range(m)]
-        g = _fp_polygcd(diff, f, p)
-        if len(g) - 1 != 0:
-            return False
-    return True
+def _digits(index: int, base: int, m: int) -> list[int]:
+    """The m lowest base-`base` digits of index, least significant first."""
+    out = []
+    for _ in range(m):
+        index, digit = divmod(index, base)
+        out.append(digit)
+    return out
 
 
 def default_modulus(p: int, m: int) -> tuple[int, ...]:
@@ -122,13 +57,10 @@ def default_modulus(p: int, m: int) -> tuple[int, ...]:
     if m == 1:
         return (0, 1)
     for idx in range(p**m):
-        coeffs, k = [], idx
-        for _ in range(m):
-            coeffs.append(k % p)
-            k //= p
-        f = coeffs + [1]
-        if _is_irreducible_mod_p(f, p):
-            return tuple(f)
+        try:
+            return RingContext(p, 1, m, _digits(idx, p, m) + [1]).modulus
+        except InputError:
+            pass
     raise InputError(f"no irreducible polynomial of degree {m} over F_{p} found")
 
 
@@ -182,15 +114,14 @@ class RingContext:
         self.p, self.n, self.m = p, n, m
         self.pn = p**n
         self.q = p**m
-        if modulus is None:
+        given = modulus is not None
+        if not given:
             modulus = default_modulus(p, m)
         elif not isinstance(modulus, (list, tuple)):
             raise InputError("modulus must be a list of integer coefficients")
-        modulus = tuple(_exact_int(c) % self.pn for c in modulus)
+        modulus = tuple(_exact_int(c, "modulus coefficient") % self.pn for c in modulus)
         if len(modulus) != m + 1 or modulus[m] != 1:
             raise InputError("modulus must be monic of degree m")
-        if not _is_irreducible_mod_p([c % p for c in modulus], p):
-            raise InputError("modulus must be irreducible mod p")
         self.modulus = modulus
         self._xpow = self._reduction_table()
         self._derived = {}
@@ -202,6 +133,11 @@ class RingContext:
         self._generator = None
         self._storage_dtype = None  # filled by linalg.storage_dtype
         self._field_tables = None  # filled by linalg._field_tables
+        # a default modulus has passed this test already, in default_modulus's scan
+        if given and n > 1:
+            self.residue_context()  # builds, and so checks, the modulus mod p
+        elif given and not self._is_field():
+            raise InputError("modulus must be irreducible mod p")
 
     # -- identity ----------------------------------------------------------
 
@@ -218,6 +154,19 @@ class RingContext:
 
     def __repr__(self) -> str:
         return f"RingContext(p={self.p}, n={self.n}, m={self.m})"
+
+    def _is_field(self) -> bool:
+        """Rabin's test at precision 1: F_p[x]/(f) is a field exactly when
+        x^q = x and x^(p^(m/l)) - x is a unit for every prime l | m.  Once
+        x^q = x, f divides x^q - x, so the ring is a product of fields
+        F_{p^d} with d | m, and there a is a unit exactly when a^(q-1) = 1."""
+        if self.m == 1:
+            return True
+        x, one = self.generator(), self.one()
+        return x**self.q == x and all(
+            (x ** (self.p ** (self.m // ell)) - x) ** (self.q - 1) == one
+            for ell in prime_factors(self.m)
+        )
 
     def _reduction_table(self) -> list[tuple[int, ...]]:
         """Coefficient vectors of x^k mod (modulus, p^n) for k = 0 .. 2m-2."""
@@ -264,13 +213,8 @@ class RingContext:
 
     def elements(self):
         """Iterate every element (q^n of them); intended for small contexts."""
-        total = self.pn**self.m
-        for idx in range(total):
-            coeffs, k = [], idx
-            for _ in range(self.m):
-                coeffs.append(k % self.pn)
-                k //= self.pn
-            yield PadicScalar(self, tuple(coeffs))
+        for idx in range(self.pn**self.m):
+            yield PadicScalar(self, tuple(_digits(idx, self.pn, self.m)))
 
     # -- context derivation -------------------------------------------------
 
@@ -369,7 +313,7 @@ class RingContext:
             if self.m == 1:
                 self._frob_matrix = [(1,)]
             else:
-                sigma_x = self._frobenius_generator_image()
+                sigma_x = hensel_root(self, self.modulus, self.generator() ** self.p)
                 cols = []
                 power = self.one()
                 for _ in range(self.m):
@@ -377,28 +321,6 @@ class RingContext:
                     power = power * sigma_x
                 self._frob_matrix = cols
         return self._frob_matrix
-
-    def _frobenius_generator_image(self) -> "PadicScalar":
-        # Newton-lift the root of the modulus that reduces to x^p.
-        f = [self.scalar(c) for c in self.modulus]
-        fprime = [self.scalar((j + 1) * self.modulus[j + 1]) for j in range(self.m)]
-        y = self.generator() ** self.p
-
-        def ev(poly, t):
-            acc = self.zero()
-            for c in reversed(poly):
-                acc = acc * t + c
-            return acc
-
-        steps = max(1, self.n.bit_length() + 1)
-        for _ in range(steps):
-            fy = ev(f, y)
-            if fy.is_zero():
-                break
-            y = y - fy * ev(fprime, y).inverse()
-        if not ev(f, y).is_zero():
-            raise NoConvergence(f"Frobenius root of the modulus not reached in {steps} steps")
-        return y
 
     def frobenius(self, a: "PadicScalar") -> "PadicScalar":
         """The canonical Frobenius lift applied to a scalar."""
@@ -425,11 +347,7 @@ class RingContext:
         order = self.q - 1
         factors = prime_factors(order)
         for idx in range(2 if self.m == 1 else self.p, self.q):
-            coeffs, k = [], idx
-            for _ in range(self.m):
-                coeffs.append(k % self.p)
-                k //= self.p
-            g = res.scalar(coeffs)
+            g = res.scalar(_digits(idx, self.p, self.m))
             if all((g ** (order // ell)).coeffs != res.one().coeffs for ell in factors):
                 self._generator = g
                 return g
@@ -561,8 +479,9 @@ class PadicScalar:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def __eq__(self, other) -> bool:
@@ -654,3 +573,45 @@ class PadicScalar:
 
     def to_json(self) -> list[int]:
         return list(self.coeffs)
+
+
+# ---------------------------------------------------------------------------
+# polynomials over the ring, as coefficient lists in ascending degree
+
+
+def poly_eval(ctx: RingContext, coeffs, x: PadicScalar) -> PadicScalar:
+    """Evaluate sum coeffs[k] x^k (ascending degree) by Horner."""
+    acc = ctx.zero()
+    for c in reversed([ctx.scalar(c) for c in coeffs]):
+        acc = acc * x + c
+    return acc
+
+
+def poly_derivative(ctx: RingContext, coeffs) -> list[PadicScalar]:
+    scalars = [ctx.scalar(c) for c in coeffs]
+    return [ctx.scalar(k) * scalars[k] for k in range(1, len(scalars))]
+
+
+def hensel_root(ctx: RingContext, coeffs, x0) -> PadicScalar:
+    """Unique root of f congruent to x0 mod p, for a simple residue root.
+
+    coeffs lists f in ascending degree.  Requires f(x0) = 0 mod p and
+    f'(x0) a unit; Newton doubles the precision each step, so
+    ceil(log2(n)) + 1 steps always suffice.
+    """
+    x = ctx.scalar(x0)
+    fprime = poly_derivative(ctx, coeffs)
+    d0 = poly_eval(ctx, fprime, x)
+    if not d0.is_unit():
+        raise NonSimpleRoot("derivative at the initial point is not a unit")
+    if poly_eval(ctx, coeffs, x).valuation() < 1:
+        raise NonSimpleRoot("initial point is not a root modulo p")
+    steps = max(1, (ctx.n - 1).bit_length()) + 1
+    for _ in range(steps):
+        fx = poly_eval(ctx, coeffs, x)
+        if fx.is_zero():
+            break
+        x = x - fx * poly_eval(ctx, fprime, x).inverse()
+    if not poly_eval(ctx, coeffs, x).is_zero():
+        raise NoConvergence(f"Newton iteration left f(x) nonzero after {steps} steps")
+    return x

@@ -224,6 +224,32 @@ def test_eig_split_over_a_large_prime_with_m_2():
     assert sum(c["rank"] for c in out_json(proc)["components"]) == 4
 
 
+def test_eig_split_order_needing_a_huge_extension_is_refused():
+    # N = 10^9 + 7 needs residue degree ord(7 mod N) = 500000003, found by
+    # dividing phi(N) down instead of counting powers up to it; the timeout
+    # only detects a hang: the call takes under a second
+    proc = subprocess.run(
+        [sys.executable, "-m", "k3lift", "eig-split", "--ctx", "7,2,1"],
+        input=canonical_dumps({"sample": {"rank": 2, "order": 10**9 + 7}}).encode(),
+        capture_output=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert err_json(proc)["code"] == "InsufficientResidueField"
+    assert "divisible by 500000003" in err_json(proc)["message"]
+
+
+@pytest.mark.parametrize("coefficient", ["x", True, 1.5, None])
+def test_modulus_coefficient_error_names_the_modulus(coefficient):
+    proc = run_cli(["verify"], {"ring": {"p": 5, "n": 2, "m": 2, "modulus": [1, coefficient, 1]}})
+    assert proc.returncode == 1
+    assert err_json(proc) == {
+        "code": "InputError",
+        "message": f"modulus coefficient must be an integer, got {coefficient!r}",
+    }
+
+
 def test_eig_split_sample_needs_ctx():
     proc = run_cli(["eig-split"], {"sample": {"rank": 4, "order": 3}})
     assert proc.returncode == 1

@@ -1,5 +1,7 @@
 """Arithmetic constraint gates: Euler phi, tameness, order bounds."""
 
+from math import gcd
+
 import pytest
 
 from k3lift import (
@@ -7,6 +9,7 @@ from k3lift import (
     UNIQUENESS_ORDERS,
     euler_phi,
     is_prime,
+    multiplicative_order,
     phi_bound_scan,
     primes_up_to,
     surface_thresholds,
@@ -87,6 +90,26 @@ def test_prime_factors_limit():
         prime_factors((10**9 + 7) * (10**9 + 9))
     with pytest.raises(InputError):
         euler_phi(10**30 + 57)
+
+
+def test_multiplicative_order_matches_the_power_loop():
+    for modulus in range(1, 160):
+        for a in range(-modulus, 2 * modulus):
+            if gcd(a, modulus) != 1:
+                continue
+            t, power = 1, a % modulus
+            while power != 1 % modulus:
+                t, power = t + 1, power * a % modulus
+            assert multiplicative_order(a, modulus) == t
+
+
+def test_multiplicative_order_work_is_bounded_by_factoring():
+    # the order is found by dividing phi(modulus) down, never by counting to it
+    assert multiplicative_order(7, 10**9 + 7) == 500000003
+    assert multiplicative_order(7, 10000019) == 10000018
+    assert multiplicative_order(10, 17**10) == euler_phi(17**10)
+    with pytest.raises(InputError, match="cannot factor"):
+        multiplicative_order(2, 1000003 * 1000033)
 
 
 def test_tameness_examples():

@@ -1,11 +1,13 @@
 """Repository-level checks: no assert statements, no float constants and
 no RingMat isinstance test outside linalg in the package, no use of the
-ring-array layout outside linalg, one home for each shape-free ring-array
-operation, CLI handlers that read no stream, and the benchmark
-harness runs end to end."""
+ring-array layout outside linalg, no raw scalar constructor outside witt
+and linalg, one home for each shape-free ring-array operation, CLI handlers
+that read no stream, the benchmark tracer still finds every name it wraps,
+and the benchmark harness runs end to end."""
 
 import ast
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -80,6 +82,21 @@ def test_ring_array_layout_has_one_home():
     assert [f for f in found if not f.startswith("linalg.py:")] == []
 
 
+def _calls_raw_scalar_constructor(node):
+    """node calls PadicScalar(...) itself, which takes coefficients unreduced."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "PadicScalar"
+
+
+def test_raw_scalar_constructor_has_one_home():
+    # every other module goes through ctx.scalar, which reduces and checks
+    found = _package_nodes(_calls_raw_scalar_constructor)
+    assert found
+    assert [f for f in found if not f.startswith(("witt.py:", "linalg.py:"))] == []
+
+
 def _linalg_methods():
     tree = ast.parse((PACKAGE / "linalg.py").read_text(encoding="utf-8"))
     return {
@@ -127,6 +144,25 @@ def test_cli_handlers_read_no_payload():
     assert len(handlers) == 8
     assert readers & handlers == set()
     assert readers == {"_read_payload", "main"}
+
+
+def test_benchmark_tracer_installs():
+    # perfbench/tracing.py wraps k3lift's functions by module and name; a
+    # moved or renamed one (hensel.poly_eval, say) fails here, not only
+    # in a traced benchmark run
+    script = (
+        "import tracing; patches = tracing.install(tracing.Tracer()); "
+        "print(len(patches), sorted({key for _, key, _, _ in patches}))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=ROOT, env=env, capture_output=True, text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    count, names = proc.stdout.split(" ", 1)
+    assert int(count) > 0
+    assert "'hensel_root'" in names and "'poly_eval'" in names
 
 
 def test_benchmark_harness_smoke():

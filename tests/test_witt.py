@@ -1,5 +1,6 @@
 """Scalar ring: frozen oracle values and exhaustive small-field properties."""
 
+import itertools
 import random
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from k3lift import (
     PadicScalar,
     RingContext,
     ValuationViolation,
+    default_modulus,
 )
 from k3lift.samples import random_scalar, random_unit
 
@@ -120,6 +122,61 @@ def test_residue_generator_is_pinned(spec, generator):
     # the smallest generator of F_q^* by coefficient index; for m > 1 the
     # scan skips the constants, none of which generates
     assert RingContext(*spec)._residue_generator().coeffs == generator
+
+
+@pytest.mark.parametrize(
+    "p, m, modulus",
+    [
+        (3, 2, (1, 0, 1)),
+        (5, 2, (2, 0, 1)),
+        (7, 2, (1, 0, 1)),
+        (3, 4, (2, 1, 0, 0, 1)),
+        (3, 6, (2, 1, 0, 0, 0, 0, 1)),
+        (13, 2, (2, 0, 1)),
+        (67, 3, (2, 0, 0, 1)),
+        (23, 11, (2,) + (0,) * 10 + (1,)),
+        (1000003, 2, (1, 0, 1)),
+    ],
+)
+def test_default_modulus_is_pinned(p, m, modulus):
+    # the first monic irreducible by low-coefficient index; every m > 1
+    # output (Frobenius, roots of unity, generators) is written in its basis
+    assert default_modulus(p, m) == modulus
+    assert RingContext(p, 3, m).modulus == modulus
+
+
+def _has_monic_factor(f, p, max_degree):
+    """f (ascending, monic) has a monic factor of degree 1 .. max_degree over F_p."""
+    for d in range(1, max_degree + 1):
+        for low in itertools.product(range(p), repeat=d):
+            g = list(low) + [1]
+            r = list(f)
+            for shift in range(len(r) - len(g), -1, -1):
+                c = r[shift + d]
+                for j, gj in enumerate(g):
+                    r[shift + j] = (r[shift + j] - c * gj) % p
+            if not any(r[:d]):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("p, m", [(3, 4), (3, 6), (5, 3)])
+def test_modulus_test_matches_a_brute_force_factor_search(p, m):
+    for low in itertools.product(range(p), repeat=m):
+        f = list(low) + [1]
+        if _has_monic_factor(f, p, m // 2):
+            with pytest.raises(InputError, match="^modulus must be irreducible mod p$"):
+                RingContext(p, 1, m, f)
+        else:
+            assert RingContext(p, 1, m, f).modulus == tuple(f)
+
+
+def test_reducible_modulus_is_refused_at_every_precision():
+    # x^2 - 1 = (x - 1)(x + 1) and x^4 + 1 = (x^2 + x + 2)(x^2 + 2x + 2) over F_3;
+    # the lift x^2 + 8 is x^2 - 1 mod 3 as well
+    for n, m, f in [(1, 2, [2, 0, 1]), (4, 2, [2, 0, 1]), (3, 2, [8, 0, 1]), (2, 4, [1, 0, 0, 0, 1])]:
+        with pytest.raises(InputError, match="^modulus must be irreducible mod p$"):
+            RingContext(3, n, m, f)
 
 
 def test_roots_of_unity_over_a_large_prime_with_m_2():
@@ -291,8 +348,11 @@ def test_context_arguments_are_exact_integers():
 def test_modulus_coefficients_are_exact_integers():
     # x^2 + 4x + 2 and x^2 + x + 2 are irreducible mod 5: only the types are wrong
     assert RingContext(5, 2, 2, (2, np.int64(4), 1)).modulus == (2, 4, 1)
-    for bad in ([2.7, 4, 1.2], [2, "4", 1], [2, True, 1], 5, "241"):
-        with pytest.raises(InputError):
+    for bad in ([2.7, 4, 1.2], [2, "4", 1], [2, True, 1]):
+        with pytest.raises(InputError, match="^modulus coefficient must be an integer, got "):
+            RingContext(5, 2, 2, bad)
+    for bad in (5, "241"):
+        with pytest.raises(InputError, match="^modulus must be a list of integer coefficients$"):
             RingContext(5, 2, 2, bad)
 
 
