@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .errors import BadPairing, NonUnitPivot, NotNearIsotropic
 from .lattice import QuadLattice
-from .linalg import RingVec
+from .linalg import RingMat, RingVec
 from .witt import PadicScalar, hensel_root, poly_derivative, poly_eval  # noqa: F401
 
 
@@ -22,16 +22,19 @@ def isotropic_combination(
 ) -> tuple[PadicScalar, RingVec]:
     """Isotropic vector w = u + p a v from a near-isotropic u.
 
-    Requires p | u.u and u.v a unit.  With s = (u.u)/p the scalar a solves
-    s + 2a(u.v) + p a^2 (v.v) = 0, a quadratic whose derivative 2(u.v) is a
-    unit since p is odd; the chosen root is the one with
+    Requires p | u.u and u.v a unit.  u.u, u.v and v.v are read from one
+    Gram block B^T G B with B = [u | v].  With s = (u.u)/p the scalar a
+    solves s + 2a(u.v) + p a^2 (v.v) = 0, a quadratic whose derivative
+    2(u.v) is a unit since p is odd; the chosen root is the one with
     a = -s / (2 u.v) mod p.  Returns (a, w) with w.w = 0 mod p^n and
-    w = u mod p, so the reduced line through u is unchanged.
+    w = u mod p, so the reduced line through u is unchanged; the one
+    pairing it makes is that check of w.w.
     """
     ctx = lattice.ring
-    uu = lattice.pairing(u, u)
-    uv = lattice.pairing(u, v)
-    vv = lattice.pairing(v, v)
+    u, v = lattice.vector(u), lattice.vector(v)
+    b = RingMat.from_columns(ctx, [u, v])
+    block = b.transpose() @ (lattice.gram @ b)
+    uu, uv, vv = block.entry(0, 0), block.entry(0, 1), block.entry(1, 1)
     if not uv.is_unit():
         raise BadPairing("u.v must be a unit")
     if uu.valuation() < 1:

@@ -12,6 +12,7 @@ also give the Frobenius lift on the class of x.
 
 from __future__ import annotations
 
+import functools
 import operator
 from math import gcd
 
@@ -51,9 +52,11 @@ def _digits(index: int, base: int, m: int) -> list[int]:
     return out
 
 
+@functools.cache
 def default_modulus(p: int, m: int) -> tuple[int, ...]:
     """First monic degree-m polynomial (lex order on low coefficients)
-    irreducible mod p.  Degree 1 always yields x itself."""
+    irreducible mod p.  Degree 1 always yields x itself.  Memoized, so each
+    (p, m) is scanned once per process."""
     if m == 1:
         return (0, 1)
     for idx in range(p**m):
@@ -101,7 +104,7 @@ class RingContext:
         "_field_tables",
     )
 
-    def __init__(self, p: int, n: int, m: int = 1, modulus=None):
+    def __init__(self, p: int, n: int, m: int = 1, modulus=None, *, _residue=None):
         p = _exact_int(p, "p")
         n = _exact_int(n, "precision n")
         m = _exact_int(m, "residue degree m")
@@ -133,6 +136,10 @@ class RingContext:
         self._generator = None
         self._storage_dtype = None  # filled by linalg.storage_dtype
         self._field_tables = None  # filled by linalg._field_tables
+        if _residue is not None:
+            # with_precision's family: the modulus mod p, hence the residue
+            # field, is the same at every precision and already tested
+            self._derived[1] = _residue
         # a default modulus has passed this test already, in default_modulus's scan
         if given and n > 1:
             self.residue_context()  # builds, and so checks, the modulus mod p
@@ -229,10 +236,8 @@ class RingContext:
         ctx = self._derived.get(n)
         if ctx is None:
             modulus = tuple(c % self.p**n for c in self.modulus)
-            ctx = self._derived[n] = RingContext(self.p, n, self.m, modulus)
-            if n > 1:
-                # the modulus mod p, hence the residue field, is the same at every precision
-                ctx._derived[1] = self.residue_context()
+            residue = self.residue_context() if n > 1 else None
+            ctx = self._derived[n] = RingContext(self.p, n, self.m, modulus, _residue=residue)
         return ctx
 
     def reduce(self, a: "PadicScalar") -> "PadicScalar":
@@ -269,6 +274,11 @@ class RingContext:
                 for j in range(m):
                     out[j] += ck * red[j]
         return tuple(c % pn for c in out)
+
+    def _inverse_step(self, a: tuple, b: tuple) -> tuple:
+        """b (2 - a b): when b inverts a mod p^k, this inverts it mod p^2k."""
+        ab, pn = self._mul_coeffs(a, b), self.pn
+        return self._mul_coeffs(b, ((2 - ab[0]) % pn,) + tuple(-c % pn for c in ab[1:]))
 
     def _residue_inverse(self, key: tuple) -> tuple:
         """Inverse of the nonzero residue-field element with coefficients
@@ -536,10 +546,8 @@ class PadicScalar:
             b = ctx.residue_context()._residue_inverse(tuple(c % ctx.p for c in a))
             # each step doubles the number of correct digits
             steps = (ctx.n - 1).bit_length()
-            mul = ctx._mul_coeffs
             for _ in range(steps):
-                ab = mul(a, b)
-                b = mul(b, ((2 - ab[0]) % pn,) + tuple(-c % pn for c in ab[1:]))
+                b = ctx._inverse_step(a, b)
         if ctx._mul_coeffs(a, b) != (1,) + (0,) * (ctx.m - 1):
             raise NoConvergence(f"Newton inversion not reached in {steps} steps")
         return PadicScalar(ctx, b)
@@ -579,12 +587,19 @@ class PadicScalar:
 # polynomials over the ring, as coefficient lists in ascending degree
 
 
-def poly_eval(ctx: RingContext, coeffs, x: PadicScalar) -> PadicScalar:
-    """Evaluate sum coeffs[k] x^k (ascending degree) by Horner."""
-    acc = ctx.zero()
-    for c in reversed([ctx.scalar(c) for c in coeffs]):
-        acc = acc * x + c
-    return acc
+def poly_eval(ctx: RingContext, coeffs, x) -> PadicScalar:
+    """Evaluate sum coeffs[k] x^k (ascending degree) by Horner on coefficient
+    tuples: each coefficient is coerced once, then every step is one
+    ctx._mul_coeffs product and a reduced sum."""
+    x = ctx.scalar(x).coeffs
+    cs = [ctx.scalar(c).coeffs for c in coeffs]
+    if not cs:
+        return ctx.zero()
+    mul, pn = ctx._mul_coeffs, ctx.pn
+    acc = cs[-1]
+    for c in reversed(cs[:-1]):
+        acc = tuple((a + b) % pn for a, b in zip(mul(acc, x), c))
+    return PadicScalar(ctx, acc)
 
 
 def poly_derivative(ctx: RingContext, coeffs) -> list[PadicScalar]:
@@ -596,22 +611,36 @@ def hensel_root(ctx: RingContext, coeffs, x0) -> PadicScalar:
     """Unique root of f congruent to x0 mod p, for a simple residue root.
 
     coeffs lists f in ascending degree.  Requires f(x0) = 0 mod p and
-    f'(x0) a unit; Newton doubles the precision each step, so
-    ceil(log2(n)) + 1 steps always suffice.
+    f'(x0) a unit.  This is p-adic Newton iteration with the inverse of f'
+    carried along (von zur Gathen and Gerhard, Modern Computer Algebra,
+    Alg. 9.22): s starts as the residue-field inverse of f'(x0), and each
+    of the L = ceil(log2(n)) steps sets x <- x - f(x) s, then
+    s <- s (2 - f'(x) s), doubling the correct digits of both; the last
+    step skips the s refresh.  That is 2L + 1 evaluations of f or f' in
+    all (2 when n = 1), fewer if some f(x) is already 0.
     """
     x = ctx.scalar(x0)
+    coeffs = [ctx.scalar(c) for c in coeffs]
     fprime = poly_derivative(ctx, coeffs)
-    d0 = poly_eval(ctx, fprime, x)
-    if not d0.is_unit():
+    d = poly_eval(ctx, fprime, x)
+    if not d.is_unit():
         raise NonSimpleRoot("derivative at the initial point is not a unit")
-    if poly_eval(ctx, coeffs, x).valuation() < 1:
+    fx = poly_eval(ctx, coeffs, x)
+    if fx.valuation() < 1:
         raise NonSimpleRoot("initial point is not a root modulo p")
-    steps = max(1, (ctx.n - 1).bit_length()) + 1
-    for _ in range(steps):
-        fx = poly_eval(ctx, coeffs, x)
+    p = ctx.p
+    if ctx.m == 1:
+        s = (pow(d.coeffs[0], -1, p),)
+    else:
+        s = ctx.residue_context()._residue_inverse(tuple(c % p for c in d.coeffs))
+    steps = (ctx.n - 1).bit_length()
+    for step in range(1, steps + 1):
         if fx.is_zero():
             break
-        x = x - fx * poly_eval(ctx, fprime, x).inverse()
-    if not poly_eval(ctx, coeffs, x).is_zero():
+        x = x - PadicScalar(ctx, ctx._mul_coeffs(fx.coeffs, s))
+        if step < steps:
+            s = ctx._inverse_step(poly_eval(ctx, fprime, x).coeffs, s)
+        fx = poly_eval(ctx, coeffs, x)
+    if not fx.is_zero():
         raise NoConvergence(f"Newton iteration left f(x) nonzero after {steps} steps")
     return x

@@ -1,5 +1,7 @@
 """Newton-Hensel root lifting and isotropic-vector construction."""
 
+import itertools
+
 import pytest
 
 from k3lift import (
@@ -16,6 +18,7 @@ from k3lift import (
     orthogonalize_with_coefficient,
     poly_eval,
 )
+from k3lift import witt
 
 C72 = RingContext(7, 2, 1)
 C53 = RingContext(5, 3, 1)
@@ -163,3 +166,83 @@ def test_extension_field_root():
     gen = ctx.scalar([0, 1])
     x = hensel_root(ctx, [1, 0, 1], gen)
     assert (x * x) == -ctx.one()
+
+
+def _count_poly_evals(monkeypatch):
+    """Route witt.poly_eval, the one evaluator hensel_root calls, through a
+    counter; returns the list its calls are appended to."""
+    calls = []
+    evaluate = witt.poly_eval
+
+    def counting(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(witt, "poly_eval", counting)
+    return calls
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 12, 19, 20, 40])
+def test_newton_evaluation_count(monkeypatch, n, m):
+    # f = t^2 - c, c = 2 (m = 1) or 2 + 7x, has the residue root 3, and no
+    # Newton iterate is a root before the last step: f'(x0), f(x0), then per
+    # step f(x) and, but for the last step, f'(x)
+    ctx = RingContext(7, n, m)
+    c = ctx.scalar(2 if m == 1 else [2, 7])
+    calls = _count_poly_evals(monkeypatch)
+    x = hensel_root(ctx, [-c, 0, 1], 3)
+    steps = (n - 1).bit_length()
+    assert len(calls) == (2 if n == 1 else 2 * steps + 1)
+    assert x * x == c
+    assert x.reduce() == ctx.reduce(3)
+
+
+def test_newton_stops_at_an_exact_root(monkeypatch):
+    # x0 = 2 is a root of t^2 - 4: only f'(x0) and f(x0) are evaluated
+    calls = _count_poly_evals(monkeypatch)
+    assert hensel_root(C72, [-4, 0, 1], 2) == C72.scalar(2)
+    assert len(calls) == 2
+    # t - 17 over Z/125 is solved by the first step: f'(x1) and f(x1) = 0
+    # follow it, and the second step is skipped
+    calls.clear()
+    assert hensel_root(C53, [-17, 1], 2) == C53.scalar(17)
+    assert len(calls) == 4
+
+
+def test_root_uniqueness_exhaustive_over_an_extension():
+    # every monic quadratic over W(F_9)/9 and every simple residue root:
+    # the lifted root is the only root in its residue class
+    ctx = RingContext(3, 2, 2)
+    elements = list(ctx.elements())
+    classes = {}
+    for y in elements:
+        classes.setdefault(y.reduce(), []).append(y)
+    classes = [(ctx.lift(r), members) for r, members in classes.items()]
+    lifted = 0
+    for b, c in itertools.product(elements, repeat=2):
+        coeffs = [c, b, 1]
+        for x0, members in classes:
+            if poly_eval(ctx, coeffs, x0).is_unit() or not (b + 2 * x0).is_unit():
+                continue
+            roots = [y for y in members if poly_eval(ctx, coeffs, y).is_zero()]
+            assert roots == [hensel_root(ctx, coeffs, x0)]
+            lifted += 1
+    assert lifted > 1000
+
+
+def test_isotropic_combination_pairs_once(monkeypatch):
+    # u.u, u.v and v.v come from one Gram block; the one pairing is the
+    # final w.w check
+    lat = QuadLattice(C53, [[5, 1], [1, 2]])
+    calls = []
+    pairing = QuadLattice.pairing
+
+    def counting(self, u, v):
+        calls.append((u, v))
+        return pairing(self, u, v)
+
+    monkeypatch.setattr(QuadLattice, "pairing", counting)
+    a, w = isotropic_combination(lat, lat.vector([1, 0]), lat.vector([0, 1]))
+    assert len(calls) == 1
+    assert calls[0][0] == w and calls[0][1] == w

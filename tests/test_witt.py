@@ -85,6 +85,54 @@ def test_frobenius_on_extension_generator():
     assert x.frobenius() == -x
 
 
+@pytest.mark.parametrize(
+    "spec, columns",
+    [
+        ((5, 4, 2), [(1, 0), (0, 624)]),
+        ((7, 6, 2), [(1, 0), (0, 117648)]),
+        (
+            (3, 12, 4),
+            [
+                (1, 0, 0, 0),
+                (109497, 502500, 66810, 145996),
+                (472029, 455418, 475366, 97931),
+                (329481, 516145, 112522, 85015),
+            ],
+        ),
+        ((5, 20, 2), [(1, 0), (0, 95367431640624)]),
+        (
+            (3, 5, 7),
+            [
+                (1, 0, 0, 0, 0, 0, 0),
+                (201, 33, 75, 31, 204, 87, 201),
+                (21, 129, 183, 210, 204, 78, 25),
+                (171, 144, 52, 63, 116, 45, 180),
+                (176, 204, 175, 204, 186, 52, 201),
+                (156, 103, 12, 217, 186, 25, 75),
+                (126, 43, 126, 44, 103, 225, 238),
+            ],
+        ),
+        ((13, 3, 3), [(1, 0, 0), (0, 1160, 0), (0, 0, 1036)]),
+        (
+            (3, 1, 6),
+            [
+                (1, 0, 0, 0, 0, 0),
+                (0, 0, 0, 1, 0, 0),
+                (1, 2, 0, 0, 0, 0),
+                (0, 0, 0, 1, 2, 0),
+                (1, 1, 1, 0, 0, 0),
+                (0, 0, 0, 1, 1, 1),
+            ],
+        ),
+        ((1000003, 2, 2), [(1, 0), (0, 1000006000008)]),
+    ],
+)
+def test_frobenius_matrix_is_pinned(spec, columns):
+    # column j is sigma(x)^j, with sigma(x) the Hensel root of the modulus
+    # through x^p; every m > 1 Frobenius twist is read from these columns
+    assert RingContext(*spec).frobenius_matrix() == columns
+
+
 def test_frobenius_teichmuller_functorial():
     res = C322.residue_context()
     for idx, r in enumerate(res.elements()):
@@ -177,6 +225,36 @@ def test_reducible_modulus_is_refused_at_every_precision():
     for n, m, f in [(1, 2, [2, 0, 1]), (4, 2, [2, 0, 1]), (3, 2, [8, 0, 1]), (2, 4, [1, 0, 0, 0, 1])]:
         with pytest.raises(InputError, match="^modulus must be irreducible mod p$"):
             RingContext(3, n, m, f)
+
+
+def _count_context_inits(monkeypatch):
+    """Count RingContext.__init__ calls from here on; returns their argument list."""
+    calls = []
+    init = RingContext.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RingContext, "__init__", counting)
+    return calls
+
+
+def test_default_modulus_is_scanned_once_per_pair(monkeypatch):
+    RingContext(11, 3, 2)
+    calls = _count_context_inits(monkeypatch)
+    # a second default context of (11, 2) reuses the first scan's modulus
+    RingContext(11, 5, 2)
+    assert calls == [(11, 5, 2)]
+
+
+def test_with_precision_shares_the_residue_context(monkeypatch):
+    base = RingContext(5, 20, 2, [2, 0, 1])
+    calls = _count_context_inits(monkeypatch)
+    low = base.with_precision(19)
+    assert calls == [(5, 19, 2, (2, 0, 1))]
+    assert low.residue_context() is base.residue_context()
+    assert base.with_precision(19) is low
 
 
 def test_roots_of_unity_over_a_large_prime_with_m_2():
