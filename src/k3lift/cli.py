@@ -61,7 +61,7 @@ from .serialize import (
     scalar_from_json,
     vector_from_json,
 )
-from .torelli import phi_invert, phi_line, phi_map
+from .torelli import phi_invert, phi_line
 
 
 class _Parser(argparse.ArgumentParser):
@@ -170,12 +170,12 @@ def _cmd_phi_map(payload, args, ctx):
     else:
         conn = connection_from_json(field(payload, "connection"), ctx)
         point = point_from_json(conn.ctx, field(payload, "point"))
-    coords = phi_map(conn, point)
+    # one transport: from_generator normalizes the line exactly as phi_map does
     line = phi_line(conn, point)
     out = {
         "connection": conn.to_json(),
         "point": point.to_json(),
-        "coordinates": [x.to_json() for x in coords],
+        "coordinates": [x.to_json() for x in line.coordinates()],
         "line": line.to_json(),
     }
     return out, 0
@@ -190,10 +190,10 @@ def _cmd_phi_invert(payload, args, ctx):
         raise InputError("field 'target' must be a coordinate list")
     goal = [scalar_from_json(conn.ctx, c) for c in target]
     point = phi_invert(conn, goal)
-    image = phi_map(conn, point)
+    # phi_invert returns only once phi_map(point) equals the goal
     out = {
         "point": point.to_json(),
-        "image": [x.to_json() for x in image],
+        "image": [x.to_json() for x in goal],
     }
     return out, 0
 

@@ -21,8 +21,9 @@ from .errors import (
     NotTame,
     OrderViolation,
     ProjectionCollapse,
+    field,
 )
-from .lattice import IntLattice, QuadLattice, _int_array
+from .lattice import IntLattice, QuadLattice, _int_array, payload_lattice
 from .linalg import RingMat, RingVec, independent_columns, is_unimodular
 from .witt import PadicScalar, RingContext
 
@@ -117,6 +118,17 @@ class Isometry:
         if self.declared_order is not None:
             out["order"] = self.declared_order
         return out
+
+    @classmethod
+    def from_json(cls, data: dict, ctx: RingContext | None = None) -> "Isometry":
+        """'matrix', an optional 'order' and a lattice (see payload_lattice)."""
+        if not isinstance(data, dict) or "matrix" not in data:
+            raise InputError("an isometry payload needs 'matrix' and a lattice")
+        lat = payload_lattice(data, ctx)
+        order = data.get("order")
+        if order is not None and (isinstance(order, bool) or not isinstance(order, int)):
+            raise InputError("field 'order' must be an integer")
+        return cls(lat, RingMat.from_json(lat.ring, field(data, "matrix"), lat.rank), order=order)
 
     def __repr__(self) -> str:
         return f"Isometry(rank={self.lattice.rank})"

@@ -20,6 +20,7 @@ from .errors import (
     DegenerateForm,
     DimensionMismatch,
     InputError,
+    field,
 )
 from .linalg import RingMat, RingVec, kernel
 from .witt import PadicScalar, RingContext
@@ -340,6 +341,26 @@ class QuadLattice:
             "gram": self.gram.to_json(),
         }
 
+    @classmethod
+    def from_json(cls, data, ctx: RingContext | None = None) -> "QuadLattice":
+        """A lattice over its payload's 'ring' (or ctx), or bare Gram rows over ctx."""
+        if isinstance(data, dict):
+            ring = data.get("ring")
+            if ring == "Z":
+                raise InputError("this payload needs a lattice over a ring context, not Z")
+            if ctx is None:
+                if not isinstance(ring, dict):
+                    raise InputError("lattice payload carries no ring and no context was given")
+                ctx = RingContext.from_json(ring)
+            gram = field(data, "gram")
+        else:
+            if ctx is None:
+                raise InputError("a bare Gram matrix needs an explicit ring context")
+            gram = data
+        if not isinstance(gram, list) or not gram:
+            raise InputError("a Gram matrix must be a nonempty list of rows")
+        return cls(ctx, RingMat.from_json(ctx, gram))
+
     def __repr__(self) -> str:
         return f"QuadLattice(rank={self.rank} over {self.ring!r})"
 
@@ -349,6 +370,14 @@ class QuadLattice:
             and other.ring == self.ring
             and other.gram == self.gram
         )
+
+
+def payload_lattice(data, ctx: RingContext | None = None) -> QuadLattice:
+    """The payload's 'lattice' field, or else a lattice of its own 'gram'
+    over its own 'ring' (or ctx)."""
+    if isinstance(data, dict) and "lattice" in data:
+        return QuadLattice.from_json(data["lattice"], ctx)
+    return QuadLattice.from_json({"gram": field(data, "gram"), "ring": data.get("ring")}, ctx)
 
 
 @dataclass(frozen=True)

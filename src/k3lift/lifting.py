@@ -33,7 +33,6 @@ from .hensel import isotropic_combination, orthogonalize_with_coefficient
 from .isometry import EigenSplit, Isometry, eigen_split, lift_eigenvector, require_tame
 from .lattice import QuadLattice
 from .linalg import RingMat, RingVec, residue_rank, solve_in_span
-from .serialize import matrix_from_json, scalar_from_json, vector_from_json
 from .witt import PadicScalar, RingContext
 
 
@@ -114,11 +113,11 @@ class SlopeDecomposition:
         rank = len(low) + len(middle) + len(high)
         frobenius = data.get("frobenius")
         return cls(
-            QuadLattice(ctx, matrix_from_json(ctx, gram, rank)),
+            QuadLattice(ctx, RingMat.from_json(ctx, gram, rank)),
             low,
             middle,
             high,
-            None if frobenius is None else matrix_from_json(ctx, frobenius, rank),
+            None if frobenius is None else RingMat.from_json(ctx, frobenius, rank),
         )
 
 
@@ -126,7 +125,7 @@ def _vectors_from_json(ctx: RingContext, data: dict, key: str) -> list[RingVec]:
     vecs = data.get(key, [])
     if not isinstance(vecs, list):
         raise InputError(f"field '{key}' must be a list of vectors")
-    return [vector_from_json(ctx, v) for v in vecs]
+    return [RingVec.from_json(ctx, v) for v in vecs]
 
 
 class SupersingularInput:
@@ -190,15 +189,15 @@ class SupersingularInput:
         if ctx is None:
             ctx = RingContext.from_json(field(data, "ring"))
         gram, matrix = field(data, "gram"), field(data, "matrix")
-        hodge_line = vector_from_json(ctx.residue_context(), field(data, "hodge_line"))
+        hodge_line = RingVec.from_json(ctx.residue_context(), field(data, "hodge_line"))
         # the Hodge vector's length is the rank a flat Gram list is read with
-        lat = QuadLattice(ctx, matrix_from_json(ctx, gram, hodge_line.rank))
+        lat = QuadLattice(ctx, RingMat.from_json(ctx, gram, hodge_line.rank))
         ample = data.get("ample")
         return cls(
             lat,
-            matrix_from_json(ctx, matrix, lat.rank),
+            RingMat.from_json(ctx, matrix, lat.rank),
             hodge_line,
-            None if ample is None else vector_from_json(ctx, ample),
+            None if ample is None else RingVec.from_json(ctx, ample),
         )
 
 
@@ -281,11 +280,11 @@ class LiftingCertificate:
         if branch not in BRANCHES:
             raise InputError(f"field 'branch' must be one of {', '.join(BRANCHES)}")
         order = int_field(data, "order")
-        gram = matrix_from_json(ctx, field(data, "gram"))
-        matrix = matrix_from_json(ctx, field(data, "matrix"), gram.rows)
-        generator = vector_from_json(ctx, field(data, "generator"))
-        eigenvalue = scalar_from_json(ctx, field(data, "eigenvalue"))
-        hodge_line = vector_from_json(ctx.residue_context(), field(data, "hodge_line"))
+        gram = RingMat.from_json(ctx, field(data, "gram"))
+        matrix = RingMat.from_json(ctx, field(data, "matrix"), gram.rows)
+        generator = RingVec.from_json(ctx, field(data, "generator"))
+        eigenvalue = ctx.scalar(field(data, "eigenvalue"))
+        hodge_line = RingVec.from_json(ctx.residue_context(), field(data, "hodge_line"))
         transcript = data.get("transcript", [])
         if not isinstance(transcript, list) or not all(isinstance(e, dict) for e in transcript):
             raise InputError("field 'transcript' must be a list of claim objects")
@@ -377,21 +376,21 @@ def verify_certificate(cert: LiftingCertificate) -> VerificationReport:
         label = entry.get("label", "")
         try:
             if claim == "orthogonality":
-                w = vector_from_json(ctx, field(entry, "vector"))
+                w = RingVec.from_json(ctx, field(entry, "vector"))
                 record("orthogonality", lat.pairing(m, w).is_zero(), label)
             elif claim == "membership":
                 basis = field(entry, "basis")
                 if not isinstance(basis, list):
                     raise InputError("field 'basis' must be a list of vectors")
-                coords = solve_in_span([vector_from_json(ctx, b) for b in basis], m)
+                coords = solve_in_span([RingVec.from_json(ctx, b) for b in basis], m)
                 record("membership", coords is not None, label)
             elif claim == "valuation":
-                val = scalar_from_json(ctx, field(entry, "value")).valuation()
+                val = ctx.scalar(field(entry, "value")).valuation()
                 record("valuation", val >= int_field(entry, "minimum"), label)
             elif claim == "pairing-unit":
-                left = vector_from_json(ctx, field(entry, "left"))
-                right = vector_from_json(ctx, field(entry, "right"))
-                value = scalar_from_json(ctx, field(entry, "value"))
+                left = RingVec.from_json(ctx, field(entry, "left"))
+                right = RingVec.from_json(ctx, field(entry, "right"))
+                value = ctx.scalar(field(entry, "value"))
                 ok = lat.pairing(left, right) == value and value.is_unit()
                 record("pairing-unit", ok, label)
             else:

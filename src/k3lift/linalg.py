@@ -22,10 +22,12 @@ negation, scale, ==, is_zero, valuation, reduce_mod_p, lift_to, frobenius
 and reshape, each acting entrywise on the coefficient array and returning
 the caller's own type (reshape: the type of the new shape).  The
 subclasses keep only what reads the shape: their constructors, stack,
-indexing, transpose, the products and to_json.  RingVec.from_entries and
-RingMat.from_rows are the one coercion of each: they return an array of
-the same context as it is and raise ContextMismatch for one of any other
-context.
+indexing, transpose, the products, to_json and from_json.
+RingVec.from_entries and RingMat.from_rows are the one coercion of each:
+they return an array of the same context as it is and raise
+ContextMismatch for one of any other context.  from_json reads what
+to_json writes (a matrix also as a flat row-major list) and hands it to
+that coercion.
 
 Every matrix and vector product goes through _mul_arrays, which picks one
 of three tiers by the bound m·k·(p^n-1)^2 on every partial sum for the
@@ -60,6 +62,8 @@ matrix T of targets when one product confirms B X = T.
 """
 
 from __future__ import annotations
+
+from math import isqrt
 
 import numpy as np
 
@@ -358,6 +362,12 @@ class RingVec(_RingArray):
     def to_json(self) -> list[list[int]]:
         return self.arr.T.tolist()
 
+    @classmethod
+    def from_json(cls, ctx: RingContext, data) -> "RingVec":
+        if not isinstance(data, list):
+            raise InputError("a vector must be a list of scalars")
+        return cls.from_entries(ctx, data)
+
 
 class RingMat(_RingArray):
     """Matrix over a ring context; wraps a (m, rows, cols) array of reduced
@@ -481,6 +491,26 @@ class RingMat(_RingArray):
 
     def to_json(self) -> list[list[list[int]]]:
         return self.arr.transpose(1, 2, 0).tolist()
+
+    @classmethod
+    def from_json(cls, ctx: RingContext, data, rank: int | None = None) -> "RingMat":
+        """Rows of scalars.  A flat row-major list is reshaped when its entries
+        are plain ints and its length is a perfect square, or when the rank is
+        known and the length is rank**2."""
+        if not isinstance(data, list) or not data:
+            raise InputError("a matrix must be a nonempty list")
+        if rank is None and all(isinstance(e, int) and not isinstance(e, bool) for e in data):
+            rank = isqrt(len(data))
+        if not isinstance(data[0], list) or (
+            data[0] and isinstance(data[0][0], int)
+        ):
+            # flat row-major, or rows of plain ints in the m = 1 case; disambiguate:
+            # rows of ints only make sense when len(row) == rank, flat otherwise
+            if rank is not None and len(data) == rank * rank:
+                data = [data[i * rank : (i + 1) * rank] for i in range(rank)]
+            elif not isinstance(data[0], list):
+                raise InputError("a matrix must be given as rows (or flat with known rank)")
+        return cls.from_rows(ctx, data)
 
 
 # ---------------------------------------------------------------------------

@@ -78,12 +78,15 @@ class PeriodFrame:
         return {"ring": self.ctx.to_json(), "gram": self.lattice.gram.to_json()}
 
     @classmethod
-    def from_json(cls, data: dict, ctx: RingContext | None = None) -> "PeriodFrame":
-        from .serialize import matrix_from_json  # serialize imports this module
-
-        if ctx is None:
-            ctx = RingContext.from_json(field(data, "ring"))
-        return cls(QuadLattice(ctx, matrix_from_json(ctx, field(data, "gram"))))
+    def from_json(cls, data, ctx: RingContext | None = None) -> "PeriodFrame":
+        """A frame over its payload's 'ring' (or ctx), or bare Gram rows over ctx."""
+        if isinstance(data, dict) and "gram" in data:
+            if ctx is None:
+                ctx = RingContext.from_json(field(data, "ring"))
+            data = data["gram"]
+        elif ctx is None:
+            raise InputError("a bare frame Gram matrix needs an explicit ring context")
+        return cls(QuadLattice(ctx, RingMat.from_json(ctx, data)))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PeriodFrame) and other.lattice == self.lattice
@@ -124,6 +127,12 @@ class PeriodLine:
             "last_coordinate": self.last.to_json(),
             "generator": self.generator.to_json(),
         }
+
+    @classmethod
+    def from_json(cls, data: dict, ctx: RingContext | None = None) -> "PeriodLine":
+        """Rebuild a line from its generator, re-deriving and re-validating."""
+        frame = PeriodFrame.from_json(field(data, "frame"), ctx)
+        return from_generator(frame, RingVec.from_json(frame.ctx, field(data, "generator")))
 
     def __eq__(self, other) -> bool:
         return (

@@ -34,6 +34,8 @@ from .errors import (
     InputError,
     NoConvergence,
     ValuationViolation,
+    field,
+    list_field,
 )
 from .lattice import QuadLattice
 from .linalg import RingMat, RingVec, inverse, is_unimodular
@@ -82,6 +84,14 @@ class DeformationPoint:
 
     def to_json(self) -> dict:
         return {"entries": [e.to_json() for e in self.entries]}
+
+    @classmethod
+    def from_json(cls, ctx: RingContext, data) -> "DeformationPoint":
+        if isinstance(data, dict):
+            data = data.get("entries")
+        if not isinstance(data, list):
+            raise InputError("a deformation point is a list of scalars (or {'entries': ...})")
+        return cls(ctx, data)
 
 
 class ConnectionData:
@@ -204,6 +214,12 @@ class ConnectionData:
             "frame": self.frame.to_json(),
             "matrices": [m.to_json() for m in self.matrices],
         }
+
+    @classmethod
+    def from_json(cls, data: dict, ctx: RingContext | None = None) -> "ConnectionData":
+        frame = PeriodFrame.from_json(field(data, "frame"), ctx)
+        mats = [RingMat.from_json(frame.ctx, mj, frame.rank) for mj in list_field(data, "matrices")]
+        return cls(frame, mats)
 
     def __repr__(self) -> str:
         return f"ConnectionData(rank={self.frame.rank}, dimension={self.dimension})"

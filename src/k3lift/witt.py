@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import operator
+import sys
 from math import gcd
 
 from .constraints import is_prime, multiplicative_order, prime_factors
@@ -114,6 +115,17 @@ class RingContext:
             raise InputError(f"precision n must be >= 1, got {n}")
         if m < 1:
             raise InputError(f"residue degree m must be >= 1, got {m}")
+        # entries run up to p^n - 1 and cross JSON in decimal, so p^n - 1 may
+        # have at most the interpreter's int <-> str digit limit.  Since
+        # 2^(3k) < 10^k < 2^(10k/3), the bit length of p settles all but a
+        # narrow band before p^n is formed.
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        b = p.bit_length()
+        if limit and n * b > 3 * limit and (3 * n * (b - 1) >= 10 * limit or p**n > 10**limit):
+            raise InputError(
+                f"p^n - 1 has more than {limit} decimal digits, the interpreter's "
+                "limit for integer string conversion"
+            )
         self.p, self.n, self.m = p, n, m
         self.pn = p**n
         self.q = p**m

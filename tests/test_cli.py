@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3lift import cli
+from k3lift import cli, torelli
 from k3lift import (
     QuadLattice,
     RingContext,
@@ -309,6 +309,46 @@ def test_isotropic_lift_over_a_large_prime():
     assert out_json(proc)["norm"] == [0]
 
 
+def _assert_one_input_error(proc, text):
+    assert proc.returncode == 1
+    stderr = proc.stderr.decode()
+    assert "Traceback" not in stderr
+    assert stderr.count("\n") == 1
+    err = json.loads(stderr)
+    assert err["code"] == "InputError" and text in err["message"]
+    assert proc.stdout == b""
+
+
+def test_payload_integer_past_the_digit_limit_exit_1():
+    # json.loads refuses an integer of more than sys.get_int_max_str_digits()
+    # digits with a ValueError that is not a JSONDecodeError
+    text = '{"ring": {"p": 5, "n": 2}, "gram": ' + "7" * 5000 + "}"
+    _assert_one_input_error(run_cli(["verify"], text), "malformed JSON input")
+
+
+@pytest.mark.parametrize(
+    "args, payload",
+    [
+        # entries of up to 5,400 digits: json.dumps would refuse the output
+        (
+            ["--ctx", "1000000000000000003,300,1", "isotropic-lift"],
+            {"gram": [[10**18 + 3, 1], [1, 0]], "u": [1, 0], "v": [0, 1]},
+        ),
+        # p^n of 477 million digits: refused before it is formed
+        (["--ctx", "3,1000000000,1", "period-complete"], {"sample": {"rank": 4}}),
+    ],
+)
+def test_ring_past_the_digit_limit_exit_1(args, payload):
+    # the timeout only detects a hang
+    proc = subprocess.run(
+        [sys.executable, "-m", "k3lift", *args],
+        input=canonical_dumps(payload).encode(),
+        capture_output=True,
+        timeout=30,
+    )
+    _assert_one_input_error(proc, "decimal digits")
+
+
 @pytest.mark.parametrize("payload", [5, None, True])
 def test_isotropic_lift_non_object_payload_exit_1(payload):
     proc = run_cli(["isotropic-lift"], payload if payload is not None else "null")
@@ -387,6 +427,38 @@ def test_phi_invert_round_trip():
     out = out_json(proc)
     assert out["point"] == {"entries": [[5]]}
     assert out["image"] == image
+
+
+def _main_in_process(args, text):
+    """cli.main(args) on text as standard input: (exit code, stdout, stderr)."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(text)), \
+            redirect_stdout(stdout), redirect_stderr(stderr):
+        code = cli.main(args)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def test_phi_commands_transport_each_point_once(monkeypatch):
+    # rank 22, m = 2: phi-map reads its coordinates off phi_line's line, and
+    # phi-invert emits the target that its fixed point maps to
+    transported = []
+    transport = torelli.transport
+
+    def spy(*args):
+        transported.append(args[1])
+        return transport(*args)
+
+    monkeypatch.setattr(torelli, "transport", spy)
+    code, out, err = _main_in_process(
+        ["phi-map", "--ctx", "5,4,2", "--seed", "3"], canonical_dumps({"sample": {"dimension": 20}})
+    )
+    assert (code, err, len(transported)) == (0, "", 1)
+    mapped = json.loads(out)
+    transported.clear()
+    payload = {"connection": mapped["connection"], "target": mapped["coordinates"]}
+    code, out, err = _main_in_process(["phi-invert"], canonical_dumps(payload))
+    assert (code, err, len(transported)) == (0, "", 3)
+    assert json.loads(out) == {"point": mapped["point"], "image": mapped["coordinates"]}
 
 
 def test_phi_map_sample_determinism():
@@ -650,12 +722,18 @@ def _replaced(tree, path, value):
     return tree
 
 
+# an integer literal past the interpreter's int <-> str digit limit: json.dumps
+# refuses it, so a payload carries this marker and the literal is spliced
+# into its text
+_HUGE_MARKER = "<huge integer>"
+_HUGE_LITERAL = "7" * 4301
 _FUZZ_LEAVES = st.one_of(
     st.integers(-12, 12),
     st.booleans(),
     st.none(),
     st.text(max_size=4),
     st.floats(allow_nan=False, allow_infinity=False),
+    st.just(_HUGE_MARKER),
 )
 # object keys are mostly real payload field names, so that a nested value
 # can reach the readers of those fields
@@ -679,16 +757,13 @@ def test_main_fuzz_one_node_ends_in_exit_code_and_one_error(data):
     args, payload = _PROBE_BASES[data.draw(st.sampled_from(list(_PROBE_BASES)))]()
     path = data.draw(st.sampled_from(list(_nodes(payload))))
     payload = _replaced(payload, path, data.draw(_fuzz_values()))
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with mock.patch.object(sys, "stdin", io.StringIO(canonical_dumps(payload))), \
-            redirect_stdout(stdout), redirect_stderr(stderr):
-        code = cli.main(args)
+    text = canonical_dumps(payload).replace(f'"{_HUGE_MARKER}"', _HUGE_LITERAL)
+    code, out, err = _main_in_process(args, text)
     assert code in (0, 1, 2)
-    err = stderr.getvalue()
     if err:
         assert err.count("\n") == 1 and err.endswith("\n")
         assert set(json.loads(err)) == {"code", "message"}
-        assert stdout.getvalue() == ""
+        assert out == ""
 
 
 def test_lift_search_flat_decomposition_gram():

@@ -20,19 +20,34 @@ from k3lift import (
     RingMat,
     RingVec,
     SupersingularInput,
+    canonical_dumps,
     eigen_split,
     independent_columns,
     inverse,
     is_unimodular,
     kernel,
     lift_ss_nonsymplectic,
+    phi_invert,
+    phi_line,
+    phi_map,
     residue_rank,
     solve,
     solve_in_span,
     verify_certificate,
 )
 from k3lift import linalg
-from k3lift.samples import random_scalar, random_tame_isometry
+from k3lift.samples import (
+    random_connection,
+    random_deformation_point,
+    random_scalar,
+    random_tame_isometry,
+)
+from test_acceptance import (
+    _finite_height_certs,
+    _nonsymplectic_higher_certs,
+    _nonsymplectic_minus_one_certs,
+    _symplectic_certs,
+)
 
 C = RingContext(5, 3, 1)
 # p = 2^32 + 15 is the least prime above 2^32: its residue field stores Python ints
@@ -772,6 +787,63 @@ def test_certificate_build_and_verify_sweep_only_the_residue_field(monkeypatch):
     assert verify_certificate(cert).valid
     assert sweeps and set(sweeps) == {1}
     assert newton and set(newton) == {4}
+
+
+# -- exactness across product tiers --------------------------------------------------
+
+
+def _tier_workload():
+    """Canonical JSON of computations whose products span the float64 and
+    int64 tiers: rank-22 order-8 eigen splits at (5, 4, 2) and at (3, 16, 2),
+    whose rank-22 products sit just above the float64 bound, and a product
+    of two dense rank-22 matrices there, whose partial sums (unlike the
+    sparser split's) pass 2^53 too; a d = 20 period map round trip at
+    (5, 4, 2); and the criterion-5 certificates, built and verified."""
+    out = []
+    for spec in ((5, 4, 2), (3, 16, 2)):
+        iso = random_tame_isometry(random.Random(f"tiers {spec}"), RingContext(*spec), 22, 8)
+        split = eigen_split(iso, 8)
+        out += [split.to_json(), split.verify_identities(), split.pairing_orthogonality()]
+    ctx, rng = RingContext(3, 16, 2), random.Random("tiers dense")
+    a, b = ([[random_scalar(rng, ctx) for _ in range(22)] for _ in range(22)] for _ in range(2))
+    out.append((RingMat.from_rows(ctx, a) @ RingMat.from_rows(ctx, b)).to_json())
+    rng = random.Random(420)
+    conn = random_connection(rng, RingContext(5, 4, 2), 20)
+    point = random_deformation_point(rng, conn)
+    image = phi_map(conn, point)
+    out += [[x.to_json() for x in image], phi_line(conn, point).to_json()]
+    out.append(phi_invert(conn, image).to_json())
+    certs = (_finite_height_certs() + _nonsymplectic_minus_one_certs()
+             + _nonsymplectic_higher_certs() + _symplectic_certs())
+    out += [[cert.to_json(), verify_certificate(cert).to_json()] for cert in certs]
+    return canonical_dumps(out)
+
+
+def test_products_agree_across_kernel_tiers(monkeypatch):
+    # every product forced into Python ints gives the bytes that the float64
+    # and int64 tiers give; _kernel_dtype stays as it is, since the storage
+    # dtype derives from it
+    tiers = []
+    kernel_dtype = linalg._kernel_dtype
+
+    def tier_spy(ctx, k):
+        tiers.append(kernel_dtype(ctx, k))
+        return tiers[-1]
+
+    monkeypatch.setattr(linalg, "_kernel_dtype", tier_spy)
+    as_is = _tier_workload()
+    assert {np.dtype(np.float64), np.dtype(np.int64)} <= set(tiers)
+    monkeypatch.setattr(linalg, "_kernel_dtype", kernel_dtype)
+    forced = []
+
+    def object_tier(ctx, a, b):
+        forced.append(ctx)
+        out = linalg._mul_native(ctx, a, b, linalg._OBJECT)
+        return out.astype(linalg.storage_dtype(ctx), copy=False)
+
+    monkeypatch.setattr(linalg, "_mul_arrays", object_tier)
+    assert _tier_workload() == as_is
+    assert forced
 
 
 # -- one storage dtype per context ---------------------------------------------------

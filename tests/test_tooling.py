@@ -1,9 +1,11 @@
 """Repository-level checks: no assert statements, no float constants and
 no RingMat isinstance test outside linalg in the package, no use of the
 ring-array layout outside linalg, no raw scalar constructor outside witt
-and linalg, one home for each shape-free ring-array operation, CLI handlers
-that read no stream, the benchmark tracer still finds every name it wraps,
-and the benchmark harness runs end to end."""
+and linalg, one home for each shape-free ring-array operation, a serialize
+module that defines only the wire format and that only the entry points
+import, no call-time imports, CLI handlers that read no stream, the
+benchmark tracer still finds every name it wraps, and the benchmark
+harness runs end to end."""
 
 import ast
 import json
@@ -114,6 +116,48 @@ def test_ring_array_operations_have_one_home():
     assert methods["RingVec"] & core == set()
     assert methods["RingMat"] & core == set()
     assert "__matmul__" in methods["RingMat"]
+
+
+def test_serialize_defines_only_the_wire_format():
+    # each type reads its JSON in its own from_json; serialize binds the
+    # public reader names to those and defines nothing else
+    tree = ast.parse((PACKAGE / "serialize.py").read_text(encoding="utf-8"))
+    defined = [
+        getattr(node, "name", "lambda") for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda))
+    ]
+    assert sorted(defined) == ["canonical_dumps", "dump_stream", "load_stream"]
+
+
+def _imports_serialize(node):
+    """node imports k3lift.serialize or a name from it."""
+    if isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        return module.split(".")[-1] == "serialize" or (
+            module in ("", "k3lift") and any(alias.name == "serialize" for alias in node.names)
+        )
+    return isinstance(node, ast.Import) and any(
+        alias.name == "k3lift.serialize" for alias in node.names
+    )
+
+
+def test_only_the_entry_points_import_serialize():
+    # serialize imports the types; a type module that imported it back would
+    # need a call-time import to break the cycle
+    found = _package_nodes(_imports_serialize)
+    assert {f.split(":")[0] for f in found} == {"cli.py", "__init__.py"}
+
+
+def test_package_imports_only_at_module_level():
+    nested = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        top = {id(node) for node in tree.body}
+        nested += [
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
+        ]
+    assert nested == []
 
 
 _PAYLOAD_READERS = {"_read_payload", "load_stream"}

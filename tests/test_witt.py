@@ -1,6 +1,7 @@
 """Scalar ring: frozen oracle values and exhaustive small-field properties."""
 
 import itertools
+import math
 import random
 import subprocess
 import sys
@@ -421,6 +422,24 @@ def test_context_arguments_are_exact_integers():
     for bad in ((5.0, 3), (5, 3, 1.0), (5, 3.0), ("5", 3), (True, 3), (5, 3, None)):
         with pytest.raises(InputError, match="must be an integer"):
             RingContext(*bad)
+
+
+@pytest.mark.parametrize("p", [3, 10**18 + 3])
+def test_context_entries_stay_within_the_int_digit_limit(p):
+    # p^n - 1 may have as many decimal digits as int <-> str conversion
+    # allows, and not one more; n is in the band that the bit lengths of p
+    # alone do not settle
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("the interpreter has no int <-> str digit limit")
+    n = int(limit / math.log10(p)) - 2
+    while p ** (n + 1) <= 10**limit:
+        n += 1
+    assert RingContext(p, n).pn - 1 < 10**limit
+    with pytest.raises(InputError, match=f"^p\\^n - 1 has more than {limit} decimal digits"):
+        RingContext(p, n + 1)
+    with pytest.raises(InputError, match="decimal digits"):
+        RingContext(p, 10**12)
 
 
 def test_modulus_coefficients_are_exact_integers():
