@@ -37,7 +37,7 @@ def isotropic_combination(
     uu, uv, vv = block.entry(0, 0), block.entry(0, 1), block.entry(1, 1)
     if not uv.is_unit():
         raise BadPairing("u.v must be a unit")
-    if uu.valuation() < 1:
+    if uu.is_unit():
         raise NotNearIsotropic("u.u must be divisible by p")
     if ctx.n == 1:
         return ctx.zero(), u

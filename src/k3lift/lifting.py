@@ -551,7 +551,7 @@ def lift_ss_symplectic(inp: SupersingularInput, order: int) -> LiftingCertificat
     xc = inp.lattice.pairing(
         inp.hodge_line.lift_to(ctx), c
     )
-    if xc.valuation() < 1:
+    if xc.is_unit():
         raise PreconditionError(
             "the Hodge line must pair to zero with the ample class mod p"
         )
@@ -570,7 +570,7 @@ def lift_ss_symplectic(inp: SupersingularInput, order: int) -> LiftingCertificat
         if helper is None:
             raise RankTooSmall("no unit pairing against the ample class in the fixed eigenspace")
         coeff, u1 = orthogonalize_with_coefficient(lat, c, u0, helper)
-        if coeff.valuation() < 1:
+        if coeff.is_unit():
             raise PreconditionError("orthogonalization coefficient left pW")
         transcript = [
             _entry_valuation(coeff, 1, "first orthogonalization coefficient lies in pW")

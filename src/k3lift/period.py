@@ -160,7 +160,7 @@ def complete_period_line(frame: PeriodFrame, coords) -> PeriodLine:
     if len(scalars) != r - 2:
         raise DimensionMismatch(f"expected {r - 2} coordinates")
     for a in scalars:
-        if a.valuation() < 1:
+        if a.is_unit():
             raise ValuationViolation("middle coordinates must lie in pW")
     pair, zero = frame.lattice.pairing, ctx.zero()
     # the middle vector a: Q(a) = a . a is the constant term and
@@ -199,7 +199,7 @@ def from_generator(frame: PeriodFrame, vector: RingVec) -> PeriodLine:
     norm = vector.scale(unit)
     coords = [norm.entry(i) for i in range(1, frame.rank - 1)]
     for a in coords:
-        if a.valuation() < 1:
+        if a.is_unit():
             raise ValuationViolation("middle coordinates must lie in pW")
     last = norm.entry(frame.rank - 1)
     if not last.is_zero() and last.valuation() < 2:

@@ -8,24 +8,18 @@ to the frame (D_i v1 = v_{i+1}).  Parallel transport to the point
     sum over multi-indices m of gamma_{m_1}(pa_1) ... gamma_{m_d}(pa_d) D^m y
 
 truncated at total degree M(n, p), beyond which every term has valuation
-at least n.  It is summed as the product T_d ... T_1 y of one-variable
-series T_i = sum_{k<M} gamma_k(pa_i) D_i^k.  Each factor is two products:
-the connection's cached stack [gamma_1 D_i; ...; gamma_{M-1} D_i^{M-1}]
-times the current vector, then the row (a_i, ..., a_i^{M-1}) times the
-M - 1 resulting blocks.  So a transport costs d matrix-vector products,
-once the first transport on a connection has built the stacks with
-d (M - 2) matrix products.  The product adds only cross terms of total
-degree K >= M, and their coefficients vanish at precision n (see
-transport).
+at least n.  Because the D_i commute, the multinomial identity for divided
+powers makes this exactly the one-variable series
+sum_{k<M} gamma_k(p) X^k y in X = sum_i a_i D_i, with a_i = pa_i / p.
+X is one product, the row (a_1, ..., a_d) times the d x r^2 stack of the
+flattened D_i that the connection keeps, and the series costs M - 1
+matrix-vector products more.
 Reading frame coordinates off the transported Hodge generator gives the
 period map; its inverse is a fixed-point iteration contracting by a factor
 of p per step.
 """
 
 from __future__ import annotations
-
-from itertools import accumulate
-from operator import matmul, mul
 
 from .errors import (
     ContextMismatch,
@@ -65,7 +59,7 @@ class DeformationPoint:
         self.ctx = ctx
         scalars = tuple(ctx.scalar(e) for e in entries)
         for e in scalars:
-            if e.valuation() < 1:
+            if e.is_unit():
                 raise ValuationViolation("deformation entries must lie in pW")
         self.entries = scalars
 
@@ -97,30 +91,36 @@ class DeformationPoint:
 class ConnectionData:
     """Frame plus adapted commuting connection matrices.
 
-    validate() enforces three exact identities:
-      - commutativity D_i D_j = D_j D_i,
+    The constructor always enforces commutativity D_i D_j = D_j D_i, on
+    which transport rests, and keeps the d x r^2 stack of the flattened
+    D_i that transport multiplies by.  validate(), which check=False skips,
+    enforces two more exact identities:
       - pairing compatibility D_i^T G + G D_i = 0 (so transport is an
         isometry and moves isotropic lines to isotropic lines),
       - adaptation D_i v1 = v_{i+1}, which pins the first-order behaviour
         of the period map to h_i = pa_i + O(p^2).
     Matrices that are merely transversal can be brought to this form with
-    adapt().  The transport stacks are derived data, built on the first
-    transport and kept for every later one (see transport_stacks).
+    adapt().
     """
 
-    __slots__ = ("frame", "matrices", "_stacks")
+    __slots__ = ("frame", "matrices", "_flat")
 
     def __init__(self, frame: PeriodFrame, matrices, check: bool = True):
         self.frame = frame
         self.matrices = tuple(RingMat.from_rows(frame.ctx, mat) for mat in matrices)
+        r = frame.rank
         if len(self.matrices) != frame.parameter_count:
             raise DimensionMismatch(
                 f"need {frame.parameter_count} connection matrices, got {len(self.matrices)}"
             )
         for mat in self.matrices:
-            if mat.rows != frame.rank or mat.cols != frame.rank:
+            if mat.rows != r or mat.cols != r:
                 raise DimensionMismatch("connection matrices must match frame rank")
-        self._stacks = None
+        for i, di in enumerate(self.matrices):
+            for dj in self.matrices[i + 1 :]:
+                if (di @ dj) != (dj @ di):
+                    raise InputError("connection matrices must commute")
+        self._flat = RingMat.stack(frame.ctx, [mat.reshape(1, r * r) for mat in self.matrices])
         if check:
             self.validate()
 
@@ -131,30 +131,6 @@ class ConnectionData:
     @property
     def dimension(self) -> int:
         return len(self.matrices)
-
-    def transport_stacks(self) -> tuple[RingMat, ...]:
-        """Per direction i, the (M - 1) r x r stack
-        [gamma_1 D_i; gamma_2 D_i^2; ...; gamma_{M-1} D_i^{M-1}] with
-        gamma_k = ctx.divided_power_factor(k) and M = M(n, p).
-
-        Built with d (M - 2) matrix products on the first call and cached.
-        At n = 1 (M = 1) the series is its constant term and the result is
-        empty, so transport returns its input.
-        """
-        if self._stacks is None:
-            ctx = self.ctx
-            bound = truncation_degree(ctx.n, ctx.p)
-            if bound == 1:
-                self._stacks = ()
-                return self._stacks
-            stacks = []
-            for di in self.matrices:
-                powers = accumulate([di] * (bound - 1), matmul)
-                stacks.append(RingMat.stack(ctx, [
-                    power.scale(ctx.divided_power_factor(k)) for k, power in enumerate(powers, 1)
-                ]))
-            self._stacks = tuple(stacks)
-        return self._stacks
 
     def validate(self) -> None:
         ctx = self.ctx
@@ -169,12 +145,9 @@ class ConnectionData:
                 )
 
     def _validate_compatible(self) -> None:
-        """Commutativity and pairing compatibility: validate() minus adaptation."""
+        """Pairing compatibility: validate() minus adaptation."""
         g = self.frame.lattice.gram
-        for i, di in enumerate(self.matrices):
-            for dj in self.matrices[i + 1 :]:
-                if (di @ dj) != (dj @ di):
-                    raise InputError("connection matrices must commute")
+        for di in self.matrices:
             if not ((di.transpose() @ g) + (g @ di)).is_zero():
                 raise InputError("connection must be compatible with the pairing")
 
@@ -254,22 +227,20 @@ def quadric_connection(frame: PeriodFrame) -> ConnectionData:
 def transport(conn: ConnectionData, point: DeformationPoint, y: RingVec) -> RingVec:
     """Divided-power parallel transport of y to the deformation point.
 
-    Returns T_d ... T_1 y with T_i = sum_{k<M} gamma_k(pa_i) D_i^k, so D_1
-    acts first; the order matters only for connections that do not commute.
-    gamma_k(pa) = p^(k - e) a^k / (k! / p^e) with e = v_p(k!) is computed
-    by unit division.  The product equals the multi-index series truncated
-    at total degree M = M(n, p) exactly at precision n: each extra cross
-    term has total degree K >= M and a coefficient of valuation at least
-    sum_i (m_i - v_p(m_i!)) >= K - v_p(K!) >= n, since v_p(K!) bounds
-    sum_i v_p(m_i!) (multinomial coefficients are integers).
+    Returns sum_{k<M} gamma_k(p) X^k y with X = sum_i a_i D_i, a_i = pa_i / p
+    and M = M(n, p).  gamma_k(p) = p^(k - e) / (k! / p^e) with e = v_p(k!)
+    is ctx.divided_power_factor(k), computed by unit division.  For
+    commuting D_i (a ConnectionData invariant) this is exactly the
+    multi-index series of the module docstring, in each total degree k:
+    the multinomial theorem expands gamma_k(p) X^k into the terms
+    gamma_k(p) (k! / prod_i m_i!) a^m D^m over |m| = k, and that integer
+    coefficient times gamma_k(p) a^m is prod_i gamma_{m_i}(pa_i), an
+    identity in W and so in W_n.
 
-    Each factor is two products: the cached stack of gamma_k D_i^k
-    (ConnectionData.transport_stacks) times the current vector gives every
-    term at once, and the row (a_i, a_i^2, ..., a_i^{M-1}) times those
-    M - 1 blocks sums them; the d rows are coerced together, as one d x
-    (M - 1) matrix.  A transport costs d matrix-vector products, d
-    1 x (M - 1) by (M - 1) x r products and d (M - 2) scalar products; the
-    first one on a connection also builds the stacks.
+    X is one product, the 1 x d row (a_1, ..., a_d) times the connection's
+    d x r^2 stack of flattened D_i; the series then costs M - 1
+    matrix-vector products X (X^{k-1} y) and as many scalings.  At n = 1
+    (M = 1) it is its constant term y, with no product at all.
     """
     ctx = conn.ctx
     if point.ctx != ctx or y.ctx != ctx:
@@ -277,13 +248,14 @@ def transport(conn: ConnectionData, point: DeformationPoint, y: RingVec) -> Ring
     if len(point) != conn.dimension:
         raise DimensionMismatch("deformation point dimension differs from connection")
     bound = truncation_degree(ctx.n, ctx.p)
-    powers = RingMat.from_rows(ctx, [
-        list(accumulate([pa.exact_div_p(1)] * (bound - 1), mul)) for pa in point.entries
-    ])
-    out = y
-    for i, stack in enumerate(conn.transport_stacks()):
-        terms = (stack @ out).reshape(bound - 1, y.rank)
-        out = out + (powers.row(i).reshape(1, bound - 1) @ terms).row(0)
+    if bound == 1:
+        return y
+    row = RingMat.from_rows(ctx, [[pa.exact_div_p(1) for pa in point.entries]])
+    x = (row @ conn._flat).reshape(y.rank, y.rank)
+    out = term = y
+    for k in range(1, bound):
+        term = x @ term
+        out = out + term.scale(ctx.divided_power_factor(k))
     return out
 
 
@@ -323,7 +295,7 @@ def phi_invert(conn: ConnectionData, target, max_iterations: int | None = None) 
     if len(goal) != conn.dimension:
         raise DimensionMismatch("target length differs from connection dimension")
     for t in goal:
-        if t.valuation() < 1:
+        if t.is_unit():
             raise ValuationViolation("target coordinates must lie in pW")
     limit = max_iterations if max_iterations is not None else ctx.n + 2
     current = list(goal)

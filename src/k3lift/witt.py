@@ -638,7 +638,7 @@ def hensel_root(ctx: RingContext, coeffs, x0) -> PadicScalar:
     if not d.is_unit():
         raise NonSimpleRoot("derivative at the initial point is not a unit")
     fx = poly_eval(ctx, coeffs, x)
-    if fx.valuation() < 1:
+    if fx.is_unit():
         raise NonSimpleRoot("initial point is not a root modulo p")
     p = ctx.p
     if ctx.m == 1:

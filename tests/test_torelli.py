@@ -94,26 +94,44 @@ def test_transport_matches_multi_index_sum(p, n, m, d):
 
 
 @pytest.mark.parametrize("p,n,m,d", ORACLE_CASES)
-def test_transport_applies_first_matrix_first(p, n, m, d):
-    # random matrices do not commute, so only the D_1-first order matches
+def test_transport_of_commuting_polynomials_matches_multi_index_sum(p, n, m, d):
+    # polynomials c0 I + c1 A + c2 A^2 in one dense random matrix A commute,
+    # and unlike the quadric-derived connections their X^3 does not vanish
     ctx = RingContext(p, n, m)
     rng = Random(7 + 1000 * p + 10 * n + m)
     r = d + 2
     frame = _split_frame(ctx, [1] * d)
-
-    def rand_mat():
-        return RingMat.from_rows(ctx, [[random_scalar(rng, ctx) for _ in range(r)] for _ in range(r)])
-
-    mats = [rand_mat() for _ in range(d)]
-    assert (mats[0] @ mats[1]) != (mats[1] @ mats[0])
+    a = RingMat.from_rows(ctx, [[random_scalar(rng, ctx) for _ in range(r)] for _ in range(r)])
+    a2 = a @ a
+    mats = []
+    for _ in range(d):
+        c0, c1, c2 = (random_scalar(rng, ctx) for _ in range(3))
+        mats.append(RingMat.identity(ctx, r).scale(c0) + a.scale(c1) + a2.scale(c2))
     conn = ConnectionData(frame, mats, check=False)
     point = DeformationPoint(ctx, [p * random_scalar(rng, ctx) for _ in range(d)])
+    x = RingMat.zeros(ctx, r, r)
+    for mat, pa in zip(mats, point.entries):
+        x = x + mat.scale(pa.exact_div_p(1))
+    assert not (x @ x @ x).is_zero()
     y = RingVec.from_entries(ctx, [random_scalar(rng, ctx) for _ in range(r)])
-    out = transport(conn, point, y)
-    assert out == _multi_index_transport(conn, point, y)
-    flipped = ConnectionData(frame, mats[::-1], check=False)
-    back = DeformationPoint(ctx, point.entries[::-1])
-    assert out != _multi_index_transport(flipped, back, y)
+    assert transport(conn, point, y) == _multi_index_transport(conn, point, y)
+
+
+def test_connection_refuses_non_commuting_matrices():
+    # transport sums one series in X = sum a_i D_i, so commutativity is
+    # checked whatever check says
+    ctx = RingContext(5, 4, 2)
+    rng = Random(8)
+    frame = _split_frame(ctx, [1, 1])
+
+    def rand_mat():
+        return RingMat.from_rows(ctx, [[random_scalar(rng, ctx) for _ in range(4)] for _ in range(4)])
+
+    mats = [rand_mat(), rand_mat()]
+    assert (mats[0] @ mats[1]) != (mats[1] @ mats[0])
+    for check in (True, False):
+        with pytest.raises(InputError, match="must commute"):
+            ConnectionData(frame, mats, check=check)
 
 
 def _shape_counter(monkeypatch):
@@ -129,60 +147,56 @@ def _shape_counter(monkeypatch):
     return calls
 
 
-def test_transport_stacked_product_count_at_rank_22(monkeypatch):
-    # the first transport builds the d (M - 2) powers D_i^k; every later one
-    # makes d stacked matrix-vector products and d row-by-block products
+def test_transport_product_count_at_rank_22(monkeypatch):
+    # X is one (1, d) by (d, r^2) product, then the series makes M - 1
+    # matrix-vector products; the first transport makes no others
     ctx = RingContext(5, 8, 1)
     rng = Random(22)
     conn = random_connection(rng, ctx, 20)
     point = random_deformation_point(rng, conn)
     y = RingVec.basis_vector(ctx, 22, 0)
     bound = truncation_degree(8, 5)
-    per_transport = {((bound - 1) * 22, 22, "RingVec"): 20, (1, bound - 1, "RingMat"): 20}
+    per_transport = Counter({(1, 20, "RingMat"): 1, (22, 22, "RingVec"): bound - 1})
     calls = _shape_counter(monkeypatch)
     first = transport(conn, point, y)
-    assert calls == Counter({(22, 22, "RingMat"): 20 * (bound - 2), **per_transport})
+    assert calls == per_transport
     for _ in range(2):
         calls.clear()
         assert transport(conn, point, y) == first
-        assert calls == Counter(per_transport)
+        assert calls == per_transport
 
 
-def test_transport_at_precision_one_is_the_identity():
-    # M(1, p) = 1: the series is its constant term, so there are no stacks
+def test_transport_at_precision_one_is_the_identity(monkeypatch):
+    # M(1, p) = 1: the series is its constant term, so there is no product
     ctx = RingContext(5, 1, 1)
     rng = Random(1)
     conn = random_connection(rng, ctx, 3)
     point = random_deformation_point(rng, conn)
     y = RingVec.basis_vector(ctx, conn.frame.rank, 0)
-    assert conn.transport_stacks() == ()
+    calls = _shape_counter(monkeypatch)
     assert transport(conn, point, y) == y
+    assert not calls
     assert phi_map(conn, point) == (ctx.zero(),) * 3
 
 
-def test_phi_invert_builds_stacks_once(monkeypatch):
+def test_phi_invert_makes_m_products_per_phi_map(monkeypatch):
     ctx = RingContext(5, 6, 1)
     rng = Random(66)
     conn = random_connection(rng, ctx, 4)
     target = [ctx.scalar(5) * random_scalar(rng, ctx) for _ in range(4)]
-    transports = []
+    maps = []
 
     def counted(*args):
-        transports.append(args)
-        return transport(*args)
+        maps.append(args)
+        return phi_map(*args)
 
-    monkeypatch.setattr(torelli, "transport", counted)
+    monkeypatch.setattr(torelli, "phi_map", counted)
     calls = _shape_counter(monkeypatch)
     point = phi_invert(conn, target)
-    assert len(transports) >= 3
-    assert calls[6, 6, "RingMat"] == 4 * (truncation_degree(6, 5) - 2)
-    assert calls[(truncation_degree(6, 5) - 1) * 6, 6, "RingVec"] == 4 * len(transports)
-    assert conn.transport_stacks() is conn.transport_stacks()
-    # a second connection with the same matrices builds its own stacks
-    twin = ConnectionData(conn.frame, conn.matrices)
-    calls.clear()
-    assert phi_map(twin, point) == tuple(target)
-    assert calls[6, 6, "RingMat"] == 4 * (truncation_degree(6, 5) - 2)
+    assert len(maps) >= 3
+    bound = truncation_degree(6, 5)
+    assert calls == Counter({(1, 4, "RingMat"): len(maps), (6, 6, "RingVec"): (bound - 1) * len(maps)})
+    assert phi_map(conn, point) == tuple(target)
 
 
 def test_phi_round_trip_at_rank_22():
