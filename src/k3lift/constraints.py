@@ -184,6 +184,6 @@ def phi_bound_scan(p_max: int) -> list[dict]:
     if p_max > SCAN_LIMIT:
         raise InputError(f"scan range may not exceed {SCAN_LIMIT}")
     return [
-        {"p": p, "phi_p_plus_1": euler_phi(p + 1), "exceeds_21": euler_phi(p + 1) > 21}
+        {"p": p, "phi_p_plus_1": (phi := euler_phi(p + 1)), "exceeds_21": phi > 21}
         for p in primes_up_to(p_max)
     ]

@@ -528,10 +528,10 @@ def lift_ss_symplectic(inp: SupersingularInput, order: int) -> LiftingCertificat
     """Supersingular branch for an action trivial on the Hodge quotient.
 
     Everything happens in the fixed eigenspace L1, orthogonally to the
-    fixed ample class c.  When c . c is a unit the complement of c in L1
-    is split off directly; when p | c . c two orthogonalizations against a
-    unit-pairing helper are needed first.  Both paths end with the
-    isotropic combination and a generator fixed by the isometry.
+    fixed ample class c.  The Hodge lift and the basis of L1 are made
+    orthogonal to c along one helper, c itself when c . c is a unit, else
+    the first basis vector pairing to a unit with c; the isotropic
+    combination then gives a generator fixed by the isometry.
     """
     ctx = inp.ctx
     require_tame(ctx, order)
@@ -559,25 +559,19 @@ def lift_ss_symplectic(inp: SupersingularInput, order: int) -> LiftingCertificat
     fixed = split.component(0)
     u0 = lift_eigenvector(split, 0, inp.hodge_line)
     lat = inp.lattice
-    cc = lat.pairing(c, c)
-    if cc.is_unit():
-        coeff, u1 = orthogonalize_with_coefficient(lat, c, u0, c)
-        transcript = [_entry_valuation(coeff, 1, "correction along c keeps the reduction line")]
-        cc_inv = cc.inverse()
-        candidates = (b - c.scale(lat.pairing(b, c) * cc_inv) for b in fixed.basis)
+    if lat.pairing(c, c).is_unit():
+        helper, label = c, "correction along c keeps the reduction line"
     else:
         helper = next((b for b in fixed.basis if lat.pairing(b, c).is_unit()), None)
         if helper is None:
             raise RankTooSmall("no unit pairing against the ample class in the fixed eigenspace")
-        coeff, u1 = orthogonalize_with_coefficient(lat, c, u0, helper)
-        if coeff.is_unit():
-            raise PreconditionError("orthogonalization coefficient left pW")
-        transcript = [
-            _entry_valuation(coeff, 1, "first orthogonalization coefficient lies in pW")
-        ]
-        candidates = (
-            orthogonalize_with_coefficient(lat, c, b, helper)[1] for b in fixed.basis
-        )
+        label = "first orthogonalization coefficient lies in pW"
+    coeff, u1 = orthogonalize_with_coefficient(lat, c, u0, helper)
+    # with helper = c, coeff = -(u0 . c)/(c . c) lies in pW because xc does
+    if coeff.is_unit():
+        raise PreconditionError("orthogonalization coefficient left pW")
+    transcript = [_entry_valuation(coeff, 1, label)]
+    candidates = (orthogonalize_with_coefficient(lat, c, b, helper)[1] for b in fixed.basis)
     m = _isotropic_with_partner(
         lat, u1, candidates, "partner pairing", transcript,
         RankTooSmall("the complement of c in the fixed eigenspace cannot host the configuration"),

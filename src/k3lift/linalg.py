@@ -169,21 +169,6 @@ def _mul_native(ctx: RingContext, a: np.ndarray, b: np.ndarray, dt: np.dtype) ->
     return conv % ctx.pn if m == 1 else _poly_reduce(ctx, conv)
 
 
-def _scal_native(ctx: RingContext, s: tuple[int, ...], a: np.ndarray) -> np.ndarray:
-    """A reduced coefficient tuple times a degree-indexed array (m, ...) in
-    the array's own dtype, which the caller has chosen so that no sum
-    overflows."""
-    m = ctx.m
-    if m == 1:
-        return (s[0] * a) % ctx.pn
-    conv = np.zeros((2 * m - 1,) + a.shape[1:], dtype=a.dtype)
-    for i in range(m):
-        if s[i]:
-            for j in range(m):
-                conv[i + j] = conv[i + j] + s[i] * a[j]
-    return _poly_reduce(ctx, conv)
-
-
 def _mul_arrays(ctx: RingContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product of (m, r, k) and (m, k, c) coefficient arrays, computed in the
     kernel dtype of inner dimension k and returned in the storage dtype."""
@@ -198,10 +183,19 @@ def _matvec_arrays(ctx: RingContext, a: np.ndarray, v: np.ndarray) -> np.ndarray
 
 
 def _scal_arrays(ctx: RingContext, s: tuple[int, ...], a: np.ndarray) -> np.ndarray:
-    """Scalar (coefficient tuple) times a degree-indexed array (m, ...) in
-    the storage dtype, which inner dimension 1 never overflows."""
-    s = tuple(int(c) % ctx.pn for c in s)
-    return _scal_native(ctx, s, a)
+    """Scalar (coefficient tuple) times a degree-indexed array (m, ...) of
+    residues in the array's own dtype, the storage dtype, which inner
+    dimension 1 never overflows."""
+    m, pn = ctx.m, ctx.pn
+    s = tuple(int(c) % pn for c in s)
+    if m == 1:
+        return (s[0] * a) % pn
+    conv = np.zeros((2 * m - 1,) + a.shape[1:], dtype=a.dtype)
+    for i in range(m):
+        if s[i]:
+            for j in range(m):
+                conv[i + j] = conv[i + j] + s[i] * a[j]
+    return _poly_reduce(ctx, conv)
 
 
 def _frobenius_array(ctx: RingContext, a: np.ndarray) -> np.ndarray:
@@ -580,7 +574,7 @@ def _residue_sweep(
 
         def normalize(cur, col):
             inv = _entry(res, work, (cur, col)).inverse().coeffs
-            work[:, cur, :] = _scal_native(res, inv, work[:, cur, :])
+            work[:, cur, :] = _scal_arrays(res, inv, work[:, cur, :])
 
         def eliminate(f, cur):
             work[...] = (work - _mul_arrays(res, f[:, :, None], work[:, cur : cur + 1, :])) % res.p

@@ -98,9 +98,9 @@ class PeriodFrame:
 class PeriodLine:
     """A valid line: frame, middle coordinates, derived last coordinate.
 
-    Instances are produced by complete_period_line or from_generator, which
-    validate; the constructor itself stores fields verbatim so tests can
-    assemble deliberately broken lines for the condition checker.
+    Instances are produced by from_generator, the one path that validates;
+    the constructor itself stores fields verbatim so tests can assemble
+    deliberately broken lines for the condition checker.
     """
 
     __slots__ = ("frame", "coords", "last", "generator")
@@ -152,7 +152,7 @@ def complete_period_line(frame: PeriodFrame, coords) -> PeriodLine:
     Each coordinate must lie in pW.  The last coordinate solves
     Q(a) + 2 t (G[0,r-1] + sum a_i G[i,r-1]) + t^2 G[r-1,r-1] = 0,
     a simple Hensel root at t = 0 since the linear coefficient is a unit;
-    it automatically lands in p^2 W.
+    it lands in p^2 W because Q(a) does.  from_generator validates the line.
     """
     ctx = frame.ctx
     r = frame.rank
@@ -172,13 +172,7 @@ def complete_period_line(frame: PeriodFrame, coords) -> PeriodLine:
     c1 = lin + lin
     c2 = frame.lattice.gram.entry(r - 1, r - 1)
     last = hensel_root(ctx, [c0, c1, c2], zero)
-    # an exact zero is a member of p^2 W at every precision, including n = 1
-    if not last.is_zero() and last.valuation() < 2:
-        raise ValuationViolation("derived coordinate left p^2 W; frame is not standard")
-    generator = RingVec.from_entries(ctx, [ctx.one()] + scalars + [last])
-    if not pair(generator, generator).is_zero():
-        raise ValuationViolation("derived generator is not isotropic; frame is not standard")
-    return PeriodLine(frame, scalars, last, generator)
+    return from_generator(frame, RingVec.from_entries(ctx, [ctx.one()] + scalars + [last]))
 
 
 def from_generator(frame: PeriodFrame, vector: RingVec) -> PeriodLine:

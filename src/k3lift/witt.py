@@ -83,7 +83,9 @@ class RingContext:
     Fields: odd prime p, precision n >= 1, residue degree m >= 1, and a monic
     modulus of degree m over Z/p^n whose reduction mod p is irreducible.
     Instances cache derived data (reduction tables, Frobenius action, roots
-    of unity, the same extension at other precisions) and are immutable.
+    of unity, divided-power factors, residue-field inverses and generator,
+    the same extension at other precisions, linalg's dtype and F_q tables)
+    and are immutable.
     """
 
     __slots__ = (
@@ -96,7 +98,6 @@ class RingContext:
         "_xpow",
         "_derived",
         "_frob_matrix",
-        "_teich_unit_cache",
         "_root_cache",
         "_gamma_cache",
         "_inverse_cache",
@@ -141,7 +142,6 @@ class RingContext:
         self._xpow = self._reduction_table()
         self._derived = {}
         self._frob_matrix = None
-        self._teich_unit_cache = {}
         self._root_cache = {}
         self._gamma_cache = {}
         self._inverse_cache = {}
@@ -305,6 +305,7 @@ class RingContext:
         """Multiplicative lift of a residue-field element.
 
         Satisfies t^q = t exactly; nonzero inputs give (q-1)-st roots of unity.
+        Not memoized: nth_roots_of_unity keeps the roots it builds.
         """
         res = self.residue_context()
         if isinstance(r, PadicScalar):
@@ -316,14 +317,9 @@ class RingContext:
                 raise ContextMismatch("teichmuller input from a foreign context")
         else:
             rbar = res.scalar(r)
-        key = rbar.coeffs
-        cached = self._teich_unit_cache.get(key)
-        if cached is not None:
-            return cached
         y = self.lift(rbar)
         for _ in range(self.n - 1):
             y = y**self.q
-        self._teich_unit_cache[key] = y
         return y
 
     def frobenius_matrix(self) -> list[tuple[int, ...]]:

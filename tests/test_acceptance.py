@@ -310,6 +310,18 @@ def _symplectic_certs():
     return certs
 
 
+# sha256 of the canonical JSON list of the four _symplectic_certs
+# certificates, which cover both branches at p = 3 and p = 5
+SYMPLECTIC_CORPUS_DIGEST = (
+    "a6227fabdb0a3c33a55b2be04bd18a7af073dd6d319910f10f790acfcb1841f2"
+)
+
+
+def test_criterion_5_symplectic_certificate_bytes():
+    doc = canonical_dumps([cert.to_json() for cert in _symplectic_certs()])
+    assert hashlib.sha256(doc.encode()).hexdigest() == SYMPLECTIC_CORPUS_DIGEST
+
+
 def _breaking_perturbation(rng, cert):
     """Random mod-p vector that shifts the generator off its certified line.
 

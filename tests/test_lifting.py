@@ -1,5 +1,7 @@
 """Liftability certificates: three branches, verification, stability."""
 
+import hashlib
+
 import pytest
 
 from k3lift import (
@@ -21,6 +23,7 @@ from k3lift import (
     SlopeDecomposition,
     SupersingularInput,
     SymplecticInput,
+    canonical_dumps,
     lift_finite_height,
     lift_ss_nonsymplectic,
     lift_ss_symplectic,
@@ -313,6 +316,22 @@ def test_symplectic_p_divides_ample_norm():
     # the two-step path records the first orthogonalization coefficient
     val_entries = [e for e in cert.transcript if e.get("claim") == "valuation"]
     assert any("orthogonalization" in e["label"] for e in val_entries)
+
+
+# sha256 of canonical_dumps(cert.to_json()) for both symplectic branches
+# (c.c a unit, p | c.c).  The tests above pin the generators only; these
+# pin whole certificates, transcript labels and values included.
+SYMPLECTIC_DIGESTS = {
+    1: "47b78642564e0c3a585673afe09076e026de4b62033e6e380b1f05a3bd34f413",
+    3: "3cf6bb19eb31946272b61d12851be2011b44dafa763f95037b63e772999d417e",
+}
+
+
+@pytest.mark.parametrize("cc", sorted(SYMPLECTIC_DIGESTS))
+def test_symplectic_certificate_bytes(cc):
+    cert = lift_ss_symplectic(_symplectic_input(cc=cc), 1)
+    digest = hashlib.sha256(canonical_dumps(cert.to_json()).encode()).hexdigest()
+    assert digest == SYMPLECTIC_DIGESTS[cc]
 
 
 def test_symplectic_requires_independence():

@@ -514,7 +514,7 @@ def _rref_unit(ctx, work):
         if piv != cur:
             work[:, [cur, piv], :] = work[:, [piv, cur], :]
         inv = linalg._entry(ctx, work, (cur, col)).inverse().coeffs
-        work[:, cur, :] = linalg._scal_native(ctx, inv, work[:, cur, :])
+        work[:, cur, :] = linalg._scal_arrays(ctx, inv, work[:, cur, :])
         f = work[:, :, col].copy()
         f[:, cur] = 0
         # in the storage dtype, which inner dimension 1 never overflows

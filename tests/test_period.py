@@ -1,5 +1,8 @@
 """Period-domain parametrization: coordinate bijection and its conditions."""
 
+import hashlib
+from random import Random
+
 import pytest
 
 from k3lift import (
@@ -13,9 +16,13 @@ from k3lift import (
     RingMat,
     RingVec,
     ValuationViolation,
+    canonical_dumps,
+    check_conditions,
     complete_period_line,
     coordinates_of,
     from_generator,
+    random_period_coordinates,
+    random_period_frame,
 )
 
 C33 = RingContext(3, 3, 1)
@@ -63,6 +70,48 @@ def test_unit_coordinate_rejected():
     frame = _toy_frame(C33)
     with pytest.raises(ValuationViolation):
         complete_period_line(frame, [1, 0])
+
+
+def test_unit_coordinate_message():
+    frame = _toy_frame(C33)
+    with pytest.raises(ValuationViolation, match="middle coordinates must lie in pW"):
+        complete_period_line(frame, [0, 1])
+
+
+# sha256 of canonical_dumps over [line.to_json(), check_conditions(line)] for
+# four sampled frames (two split, two not) per context and rank.  Contexts
+# (5,1,1) and (5,2,1) are the precisions where p^2 W is zero.
+COMPLETION_DIGESTS = {
+    ((5, 3, 1), 6):
+        "1ea38eba3c8af41dfe59f563931b547d492f9c9392f31240b3e3693b0c1a3426",
+    ((5, 3, 1), 22):
+        "7db33e803ef24e23122fbf64a324225f9181a54daac505bf63e8c60aac8bf403",
+    ((3, 4, 2), 6):
+        "7e3a3d21e6e189964ce18067360b02c88e69db58924e9c5d1e016bff6d13ddd9",
+    ((3, 4, 2), 22):
+        "b902cfa6406c139cb9d0a840bc7b9d8af18f366f9c1f3d0e82cb7af3c8c6b0c1",
+    ((5, 1, 1), 6):
+        "53995e873332922dd165cfeee16954b5649b73941c864aca855cadb70ade7d65",
+    ((5, 1, 1), 22):
+        "ac8575805dfff2dfa19ec5302e53d12ba3d6a2f746b27fcbf5373b79f78d5162",
+    ((5, 2, 1), 6):
+        "0bace95f053b870f96e20749297c68ad00727332a52fa57edaa1df27c18fbb85",
+    ((5, 2, 1), 22):
+        "e8583e92536eb747e06d7311c89d6f18709d53e87b70b33e354cc6cd852ce92c",
+}
+
+
+@pytest.mark.parametrize("spec,rank", sorted(COMPLETION_DIGESTS))
+def test_completed_lines_bytes(spec, rank):
+    rng = Random(rank * 1000 + spec[1] * 10 + spec[2])
+    ctx = RingContext(*spec)
+    transcript = []
+    for i in range(4):
+        frame = random_period_frame(rng, ctx, rank, split=bool(i % 2))
+        line = complete_period_line(frame, random_period_coordinates(rng, frame))
+        transcript.append([line.to_json(), check_conditions(line)])
+    digest = hashlib.sha256(canonical_dumps(transcript).encode()).hexdigest()
+    assert digest == COMPLETION_DIGESTS[spec, rank]
 
 
 def test_wrong_coordinate_count():

@@ -1,9 +1,9 @@
 """Repository-level checks: no assert statements, no float constants and
 no RingMat isinstance test outside linalg in the package, no use of the
 ring-array layout outside linalg, no raw scalar constructor outside witt
-and linalg, one home for each shape-free ring-array operation, a serialize
-module that defines only the wire format and that only the entry points
-import, no call-time imports, CLI handlers that read no stream, the
+and linalg, one home for each shape-free ring-array operation, one
+function that builds a PeriodLine, a serialize module that defines only
+the wire format and that only the entry points import, no call-time imports, CLI handlers that read no stream, the
 benchmark tracer still finds every name it wraps, and the benchmark
 harness runs end to end."""
 
@@ -97,6 +97,23 @@ def test_raw_scalar_constructor_has_one_home():
     found = _package_nodes(_calls_raw_scalar_constructor)
     assert found
     assert [f for f in found if not f.startswith(("witt.py:", "linalg.py:"))] == []
+
+
+def test_period_line_has_one_validator():
+    # PeriodLine(...) stores its fields unchecked, so from_generator, which
+    # validates, is the one function in the package that may build a line
+    callers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for top in tree.body:
+            callers += [
+                f"{path.stem}.{getattr(top, 'name', '<module>')}" for node in ast.walk(top)
+                if isinstance(node, ast.Call) and (
+                    node.func.id if isinstance(node.func, ast.Name)
+                    else getattr(node.func, "attr", None)
+                ) == "PeriodLine"
+            ]
+    assert callers == ["period.from_generator"]
 
 
 def _linalg_methods():
