@@ -17,8 +17,6 @@ the payload; an explicit --ctx wins.  A few subcommands accept {"sample":
 over the --ctx ring, for demos and determinism tests.
 """
 
-from __future__ import annotations
-
 import argparse
 import sys
 from random import Random

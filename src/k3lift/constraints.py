@@ -1,4 +1,5 @@
-"""Arithmetic gates: Euler phi, tameness, uniqueness orders, prime scans.
+"""Arithmetic gates: Euler phi and the phi(order) | rank gate, tameness,
+uniqueness orders, prime scans.
 
 Pure integer arithmetic with no ring-context dependencies, and the one
 home of the package's primality test (deterministic Miller-Rabin, below
@@ -9,8 +10,6 @@ non-symplectic action pins down the surface uniquely; the scan checks the
 bound phi(p + 1) > 21 for primes p > 60 over a finite range rather than
 assuming it.
 """
-
-from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd, isqrt
@@ -141,6 +140,27 @@ def surface_thresholds(p: int) -> dict:
         "p": p,
         "all_automorphisms_tame": p > TAME_THRESHOLD,
         "finite_height_weakly_tame": p >= WEAKLY_TAME_THRESHOLD,
+    }
+
+
+def phi_rank_check(transcendental_rank: int, order: int) -> dict:
+    """Euler-phi divisibility gate on the transcendental rank.
+
+    The order of a purely non-symplectic tame action forces phi(order) to
+    divide the transcendental rank; the weaker bound phi(order) <= rank is
+    reported alongside.
+    """
+    t = int(transcendental_rank)
+    n = int(order)
+    if t < 1 or n < 1:
+        raise InputError("rank and order must be positive")
+    phi = euler_phi(n)
+    return {
+        "order": n,
+        "transcendental_rank": t,
+        "phi": phi,
+        "divides": t % phi == 0,
+        "bound_ok": phi <= t,
     }
 
 

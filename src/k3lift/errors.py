@@ -9,8 +9,6 @@ read required payload fields, so every loader reports a missing or
 wrong-typed key as ``InputError``.
 """
 
-from __future__ import annotations
-
 
 class K3LiftError(Exception):
     """Base class for every error raised by this package."""

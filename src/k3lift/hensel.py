@@ -9,8 +9,6 @@ poly_eval, poly_derivative) are ring arithmetic and live in witt; they are
 re-exported here under their old names.
 """
 
-from __future__ import annotations
-
 from .errors import BadPairing, NonUnitPivot, NotNearIsotropic
 from .lattice import QuadLattice
 from .linalg import RingMat, RingVec
@@ -59,20 +57,13 @@ def isotropic_combination(
     return a, w
 
 
-def orthogonalize_against(
-    lattice: QuadLattice, target: RingVec, v: RingVec, u: RingVec
-) -> RingVec:
-    """v + a u with (v + a u).target = 0, where a = -(v.target)/(u.target).
-
-    A single linear solve; requires u.target to be a unit."""
-    _, out = orthogonalize_with_coefficient(lattice, target, v, u)
-    return out
-
-
 def orthogonalize_with_coefficient(
     lattice: QuadLattice, target: RingVec, v: RingVec, u: RingVec
 ) -> tuple[PadicScalar, RingVec]:
-    """Same as orthogonalize_against but also returns the coefficient a."""
+    """(a, v + a u) with (v + a u).target = 0, where a = -(v.target)/(u.target).
+
+    A single linear solve; requires u.target to be a unit (NonUnitPivot
+    otherwise)."""
     ctx = lattice.ring
     uc = lattice.pairing(u, target)
     if not uc.is_unit():

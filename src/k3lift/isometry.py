@@ -10,8 +10,6 @@ which satisfy the idempotent, orthogonality, and completeness identities on
 the nose, not merely modulo an error term.
 """
 
-from __future__ import annotations
-
 from .constraints import prime_factors
 from .errors import (
     ContextMismatch,
@@ -178,19 +176,6 @@ def _dot_row(row, w, zero):
     for x, y in zip(row, w):
         s = s + x * y
     return s
-
-
-def centered_coefficients(coeffs: list) -> list:
-    """Center prime-subring coefficients into (-p^n/2, p^n/2] for display;
-    entries outside the prime subring stay as coefficient tuples."""
-    out = []
-    for c in coeffs:
-        if isinstance(c, PadicScalar):
-            cc = c.centered()
-            out.append(cc if cc is not None else list(c.coeffs))
-        else:
-            out.append(int(c))
-    return out
 
 
 class EigenComponent:

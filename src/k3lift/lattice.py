@@ -8,11 +8,6 @@ lattices support pairings, isotropy tests, and orthogonal complements when
 the relevant elimination has unit pivots.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-from fractions import Fraction
-
 import numpy as np
 
 from .errors import (
@@ -144,45 +139,47 @@ def bareiss_determinant(mat) -> int:
 
 
 def signature(mat) -> tuple[int, int, int]:
-    """Exact inertia (positive, negative, zero) of a rational symmetric matrix."""
-    a = [[Fraction(int(x)) for x in row] for row in np.array(mat, dtype=object)]
-    r = len(a)
+    """Exact inertia (positive, negative, zero) of a symmetric integer matrix.
+
+    Fraction-free symmetric elimination.  A pivot d on the diagonal of the
+    live block M turns each live row i into d row_i - M_ip row_p, and each
+    live column likewise: a congruence by an invertible rational matrix,
+    so Sylvester's law of inertia keeps the signature.  It leaves the live
+    block d (d M_ij - M_ip M_pj), which is divided by d and by the
+    previous pivot; the division is exact, as in Bareiss's determinant, so
+    the entries stay integral and small.  The stored block is therefore
+    the form's block times the sign of the last pivot, and a pivot counts
+    as positive when it agrees in sign with the one before.  A zero live
+    diagonal with a nonzero entry M_ij is fixed by e_i <- e_i + e_j; a
+    zero live block is the radical.
+    """
+    a = [[int(x) for x in row] for row in np.array(mat, dtype=object)]
     pos = neg = zero = 0
-    live = list(range(r))
+    prev = 1
+    live = list(range(len(a)))
     while live:
-        piv = next((i for i in live if a[i][i] != 0), None)
+        piv = next((i for i in live if a[i][i]), None)
         if piv is None:
-            off = None
-            for i in live:
-                for j in live:
-                    if i != j and a[i][j] != 0:
-                        off = (i, j)
-                        break
-                if off:
-                    break
+            off = next(((i, j) for i in live for j in live if i != j and a[i][j]), None)
             if off is None:
                 zero += len(live)
                 break
             i, j = off
-            # make a nonzero diagonal entry: e_i <- e_i + e_j
-            for k in range(r):
+            for k in live:
                 a[i][k] += a[j][k]
-            for k in range(r):
+            for k in live:
                 a[k][i] += a[k][j]
             piv = i
         d = a[piv][piv]
-        if d > 0:
+        if (d > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
         live.remove(piv)
         for i in live:
-            f = a[i][piv] / d
-            if f:
-                for j in live:
-                    a[i][j] -= f * a[piv][j]
-                a[i][piv] = Fraction(0)
-                a[piv][i] = Fraction(0)
+            for j in live:
+                a[i][j] = (d * a[i][j] - a[i][piv] * a[piv][j]) // prev
+        prev = d
     return pos, neg, zero
 
 
@@ -380,13 +377,13 @@ def payload_lattice(data, ctx: RingContext | None = None) -> QuadLattice:
     return QuadLattice.from_json({"gram": field(data, "gram"), "ring": data.get("ring")}, ctx)
 
 
-@dataclass(frozen=True)
 class DiscriminantGroup:
     """Finite abelian group L*/L in invariant-factor form d1 | d2 | ... ."""
 
-    invariants: tuple[int, ...]
+    __slots__ = ("invariants",)
 
-    def __post_init__(self):
+    def __init__(self, invariants):
+        self.invariants = tuple(invariants)
         for a, b in zip(self.invariants, self.invariants[1:]):
             if b % a != 0:
                 raise InputError("invariant factors must form a divisibility chain")
@@ -447,10 +444,3 @@ def standard_lattice(name: str) -> IntLattice:
         return out
     raise InputError(f"unknown standard lattice {name!r} (use U, E8, K3)")
 
-
-def discriminant_group(lattice: IntLattice) -> DiscriminantGroup:
-    return lattice.discriminant_group()
-
-
-def orthogonal_complement(lattice: IntLattice | QuadLattice, vectors) -> list:
-    return lattice.orthogonal_complement(vectors)

@@ -10,9 +10,6 @@ the u + p a v construction at eigenvalue -1), and supersingular symplectic
 combination inside its complement).
 """
 
-from __future__ import annotations
-
-from .constraints import euler_phi
 from .errors import (
     ContextMismatch,
     DimensionMismatch,
@@ -628,24 +625,3 @@ def universal_line(
             entry["factor"] = factor.to_json()
         reports.append(entry)
     return cert, reports
-
-
-def phi_rank_check(transcendental_rank: int, order: int) -> dict:
-    """Euler-phi divisibility gate on the transcendental rank.
-
-    The order of a purely non-symplectic tame action forces phi(order) to
-    divide the transcendental rank; the weaker bound phi(order) <= rank is
-    reported alongside.
-    """
-    t = int(transcendental_rank)
-    n = int(order)
-    if t < 1 or n < 1:
-        raise InputError("rank and order must be positive")
-    phi = euler_phi(n)
-    return {
-        "order": n,
-        "transcendental_rank": t,
-        "phi": phi,
-        "divides": t % phi == 0,
-        "bound_ok": phi <= t,
-    }

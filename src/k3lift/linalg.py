@@ -61,8 +61,6 @@ working precision.  solve_in_span returns B_P^-1 T_P for a vector or a
 matrix T of targets when one product confirms B X = T.
 """
 
-from __future__ import annotations
-
 from math import isqrt
 
 import numpy as np

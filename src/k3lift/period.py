@@ -12,8 +12,6 @@ coefficient 2(v1 . v_r) = 2 is a unit.  This realizes the coordinate
 bijection between such lines and (pW)^(r-2) at precision n.
 """
 
-from __future__ import annotations
-
 from .errors import (
     ContextMismatch,
     DegenerateForm,
@@ -201,11 +199,6 @@ def from_generator(frame: PeriodFrame, vector: RingVec) -> PeriodLine:
     if not frame.lattice.pairing(norm, norm).is_zero():
         raise InputError("generator is not isotropic at this precision")
     return PeriodLine(frame, coords, last, norm)
-
-
-def coordinates_of(line: PeriodLine) -> tuple:
-    """Middle coordinates of the canonical generator (the bijection readout)."""
-    return line.coordinates()
 
 
 class FrobeniusStructure:

@@ -7,8 +7,6 @@ they visibly preserve, so the library's own validators accept them
 without any search.
 """
 
-from __future__ import annotations
-
 import math
 from random import Random
 

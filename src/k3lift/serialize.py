@@ -10,8 +10,6 @@ plain ints with a square length for a matrix.  This module defines only
 the wire format and binds those readers to their public names.
 """
 
-from __future__ import annotations
-
 import json
 from typing import Any, IO
 

@@ -19,8 +19,6 @@ period map; its inverse is a fixed-point iteration contracting by a factor
 of p per step.
 """
 
-from __future__ import annotations
-
 from .errors import (
     ContextMismatch,
     DegenerateForm,
@@ -38,16 +36,33 @@ from .witt import RingContext
 
 
 def truncation_degree(n: int, p: int) -> int:
-    """Least M with M - floor((M-1)/(p-1)) >= n.
+    """Least M with k - v_p(k!) >= n for every k >= M.
 
-    A term of total degree k in the transport series has valuation at least
-    k - v_p(k!) >= k - floor((k-1)/(p-1)), so all terms of degree >= M
-    vanish at precision n and the series stops at degree M - 1.
+    The term of total degree k in the transport series is p^k / k! times
+    integral data, of valuation at least k - v_p(k!), so the series stops
+    at degree M - 1.  That valuation is not monotone in k: it falls by
+    v_p(k) - 1 at each multiple of p^2.  By Legendre's formula
+    v_p(k!) = (k - s_p(k)) / (p - 1), where the digit sum s_p(k) is at
+    least 1, so k - v_p(k!) >= k - floor((k - 1)/(p - 1)) for k >= 1.  This
+    lower bound never falls as k grows, so once it reaches n at M0 it
+    covers every k >= M0.  M is M0 lowered past each k just below it whose
+    own valuation already reaches n.
     """
     m = 1
     while m - (m - 1) // (p - 1) < n:
         m += 1
+    while m > 1 and m - 1 - _factorial_valuation(m - 1, p) >= n:
+        m -= 1
     return m
+
+
+def _factorial_valuation(k: int, p: int) -> int:
+    """v_p(k!) by Legendre's formula, the sum of floor(k / p^i)."""
+    out = 0
+    while k:
+        k //= p
+        out += k
+    return out
 
 
 class DeformationPoint:

@@ -10,8 +10,6 @@ here too: Horner evaluation, derivatives and Newton-Hensel roots, which
 also give the Frobenius lift on the class of x.
 """
 
-from __future__ import annotations
-
 import functools
 import operator
 import sys

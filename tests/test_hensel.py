@@ -14,7 +14,6 @@ from k3lift import (
     RingVec,
     hensel_root,
     isotropic_combination,
-    orthogonalize_against,
     orthogonalize_with_coefficient,
     poly_eval,
 )
@@ -141,7 +140,7 @@ def test_orthogonalize_worked_example():
     a, out = orthogonalize_with_coefficient(lat, c, v, u)
     assert a == ctx.scalar(20)
     assert lat.pairing(out, c).is_zero()
-    assert orthogonalize_against(lat, c, v, u) == out
+    assert orthogonalize_with_coefficient(lat, c, v, u)[1] == out
 
 
 def test_orthogonalize_requires_unit_pivot():
@@ -151,7 +150,7 @@ def test_orthogonalize_requires_unit_pivot():
     v = lat.vector([0, 1, 0])
     u = lat.vector([1, 0, 0])  # u.c = 5, not a unit
     with pytest.raises(NonUnitPivot):
-        orthogonalize_against(lat, c, v, u)
+        orthogonalize_with_coefficient(lat, c, v, u)
 
 
 def test_high_precision_roots():

@@ -14,7 +14,6 @@ from k3lift import (
     RingContext,
     RingMat,
     RingVec,
-    centered_coefficients,
     eigen_split,
     lift_eigenvector,
     independent_columns,
@@ -68,13 +67,6 @@ def test_char_poly_examples():
     a2 = QuadLattice(C72, [[2, -1], [-1, 2]])
     rot = Isometry(a2, [[0, -1], [1, -1]])
     assert rot.char_poly() == [C72.one(), C72.one(), C72.one()]
-
-
-def test_centered_coefficients():
-    coeffs = Isometry(_u(C52), [[0, 1], [1, 0]]).char_poly()
-    cen = centered_coefficients(coeffs)
-    assert cen == [1, 0, -1]
-    assert all(-(25 // 2) <= x <= 25 // 2 for x in cen)
 
 
 def test_declared_order_accepted_and_checked():

@@ -1,6 +1,7 @@
 """Quadratic lattices over Z and over the local ring: frozen invariants."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -186,6 +187,76 @@ def test_signature_function():
     assert signature([[1, 0], [0, -1]]) == (1, 1, 0)
     assert signature([[0, 1], [1, 0]]) == (1, 1, 0)
     assert signature([[0, 0], [0, 2]]) == (1, 0, 1)
+
+
+def _signature_over_q(mat):
+    """Reference inertia by symmetric elimination over Fraction."""
+    a = [[Fraction(x) for x in row] for row in mat]
+    pos = neg = 0
+    live = list(range(len(a)))
+    while live:
+        piv = next((i for i in live if a[i][i]), None)
+        if piv is None:
+            off = next(((i, j) for i in live for j in live if i != j and a[i][j]), None)
+            if off is None:
+                break
+            i, j = off
+            for k in live:
+                a[i][k] += a[j][k]
+            for k in live:
+                a[k][i] += a[k][j]
+            piv = i
+        d = a[piv][piv]
+        pos, neg = (pos + 1, neg) if d > 0 else (pos, neg + 1)
+        live.remove(piv)
+        for i in live:
+            f = a[i][piv] / d
+            for j in live:
+                a[i][j] -= f * a[piv][j]
+    return pos, neg, len(a) - pos - neg
+
+
+def _random_symmetric(rng, rank, bound, zero_diagonal):
+    a = [[0] * rank for _ in range(rank)]
+    for i in range(rank):
+        for j in range(i, rank):
+            if rng.random() < 0.7 and not (i == j and zero_diagonal):
+                a[i][j] = a[j][i] = rng.randint(-bound, bound)
+    return a
+
+
+def _random_singular(rng, rank):
+    # B^T D B with fewer rows than columns: rank below the size
+    k = rng.randrange(rank)
+    b = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(k)]
+    d = [rng.choice([-2, -1, 1, 2]) for _ in range(k)]
+    return [[sum(b[t][i] * d[t] * b[t][j] for t in range(k)) for j in range(rank)]
+            for i in range(rank)]
+
+
+def test_signature_matches_rational_elimination():
+    rng = random.Random(20231)
+    for trial in range(600):
+        rank = rng.randint(1, 8)
+        if trial % 4 == 3:
+            mat = _random_singular(rng, rank)
+        else:
+            bound = (2, 10, 10**6)[trial % 3]
+            mat = _random_symmetric(rng, rank, bound, zero_diagonal=trial % 2 == 1)
+        got = signature(mat)
+        assert got == _signature_over_q(mat), mat
+        assert all(type(x) is int for x in got)
+
+
+def test_signature_pins():
+    assert signature(standard_lattice("U").gram) == (1, 1, 0)
+    assert signature(standard_lattice("E8").gram) == (0, 8, 0)
+    assert signature(standard_lattice("K3").gram) == (3, 19, 0)
+    assert signature([[0, 0], [0, 2]]) == (1, 0, 1)
+    # rank 3 and negative semidefinite: clearing the pivot row inside the
+    # elimination loop once left stale entries here and read (1, 4, 0)
+    assert signature([[-12, 0, -12, -2, 2], [0, -14, -1, 10, -14], [-12, -1, -14, 3, -2],
+                      [-2, 10, 3, -17, 17], [2, -14, -2, 17, -19]]) == (0, 3, 2)
 
 
 def test_direct_sum_blocks():

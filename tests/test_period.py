@@ -19,7 +19,6 @@ from k3lift import (
     canonical_dumps,
     check_conditions,
     complete_period_line,
-    coordinates_of,
     from_generator,
     random_period_coordinates,
     random_period_frame,
@@ -123,7 +122,7 @@ def test_wrong_coordinate_count():
 def test_round_trip():
     frame = _toy_frame(C33)
     line = complete_period_line(frame, [3, 0])
-    assert [a.to_json()[0] for a in coordinates_of(line)] == [3, 0]
+    assert [a.to_json()[0] for a in line.coordinates()] == [3, 0]
     back = from_generator(frame, line.generator)
     assert back == line
 

@@ -3,9 +3,11 @@ no RingMat isinstance test outside linalg in the package, no use of the
 ring-array layout outside linalg, no raw scalar constructor outside witt
 and linalg, one home for each shape-free ring-array operation, one
 function that builds a PeriodLine, a serialize module that defines only
-the wire format and that only the entry points import, no call-time imports, CLI handlers that read no stream, the
-benchmark tracer still finds every name it wraps, and the benchmark
-harness runs end to end."""
+the wire format and that only the entry points import, no call-time
+imports, CLI handlers that read no stream, every exported name used
+outside the tests, an `import k3lift` that loads no standard-library
+module beyond numpy's and json's, the benchmark tracer still finds every
+name it wraps, and the benchmark harness runs end to end."""
 
 import ast
 import json
@@ -13,6 +15,8 @@ import os
 import pathlib
 import subprocess
 import sys
+
+import k3lift
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "k3lift"
@@ -205,6 +209,59 @@ def test_cli_handlers_read_no_payload():
     assert len(handlers) == 8
     assert readers & handlers == set()
     assert readers == {"_read_payload", "main"}
+
+
+# exported names that may have no caller outside the tests: entry points
+# such as an error class a user catches or a result type.  Every export has
+# a caller today, so the list is empty.
+_ENTRY_POINTS = frozenset()
+
+
+def _referenced_names(paths):
+    """Every name a Name load, an attribute, an import or a string constant
+    (perfbench/tracing.py wraps by name) mentions, except inside the
+    top-level definition of that same name."""
+    found = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for top in tree.body:
+            names = set()
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name.split(".")[-1])
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    names.add(node.value)
+            found |= names - {getattr(top, "name", None)}
+    return found
+
+
+def test_every_export_has_a_consumer():
+    # a name in __all__ that only the tests call is a wrapper to delete
+    paths = [path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
+    paths += [*ROOT.glob("demos/*.py"), *ROOT.glob("perfbench/*.py")]
+    unused = set(k3lift.__all__) - _referenced_names(paths) - _ENTRY_POINTS
+    assert sorted(unused) == []
+
+
+def test_import_loads_no_extra_stdlib_module():
+    # numpy and json are loaded by every entry point anyway; anything else
+    # the standard library adds is paid by each CLI process
+    script = (
+        "import sys, numpy, json; before = set(sys.modules); import k3lift; "
+        "print(sorted(m for m in set(sys.modules) - before "
+        "if m.split('.')[0] in sys.stdlib_module_names))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=ROOT, env=env, capture_output=True, text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_benchmark_tracer_installs():

@@ -18,7 +18,6 @@ from k3lift import (
     RingMat,
     RingVec,
     ValuationViolation,
-    coordinates_of,
     phi_invert,
     phi_line,
     phi_map,
@@ -213,8 +212,21 @@ def test_phi_round_trip_at_rank_22():
 def test_truncation_degree_values():
     assert truncation_degree(3, 5) == 3
     assert truncation_degree(3, 3) == 4
-    assert truncation_degree(4, 3) == 6
+    assert truncation_degree(4, 3) == 5
     assert truncation_degree(1, 7) == 1
+
+
+def _factorial_valuation(k, p):
+    return sum(k // p ** i for i in range(1, k.bit_length() + 1))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_truncation_degree_is_tight(p):
+    # one more than the last degree whose term p^k/k! survives at precision n;
+    # k - v_p(k!) >= k/2 for p >= 3, so no such k lies past 2n
+    for n in range(1, 41):
+        last = max(k for k in range(2 * n + 1) if k - _factorial_valuation(k, p) < n)
+        assert truncation_degree(n, p) == last + 1
 
 
 def test_transport_at_origin_is_identity():
@@ -283,7 +295,7 @@ def test_phi_line_is_valid_period_line():
     frame = _split_frame(C53, [2, 4])
     conn = quadric_connection(frame)
     line = phi_line(conn, DeformationPoint(C53, [5, 10]))
-    assert [a for a in coordinates_of(line)] == list(
+    assert [a for a in line.coordinates()] == list(
         phi_map(conn, DeformationPoint(C53, [5, 10]))
     )
 
