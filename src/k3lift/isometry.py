@@ -237,26 +237,42 @@ class EigenSplit:
         return [c.rank for c in self.components]
 
     def verify_identities(self) -> dict:
-        """Exact structural identities of the projector family."""
+        """Exact structural identities of the projector family.
+
+        Idempotence and orthogonality follow from three premises, checked
+        first: sum_i E_i = I, A E_i = zeta_i E_i for every i, and the
+        residues of the zeta_i pairwise distinct, so that every
+        zeta_i - zeta_j (i != j) is a unit.  For a column v of E_j put
+        u_i = E_i v - delta_ij v.  Then sum_i u_i = 0 and A u_i = zeta_i u_i,
+        and applying prod_{l != k} (A - zeta_l) to sum_i u_i gives
+        prod_{l != k} (zeta_k - zeta_l) u_k = 0, so u_k = 0: exactly
+        E_i E_j = delta_ij E_j in W(F_q)/p^n.  When the premises hold the
+        only products are the N of the eigen relation; when any fails, both
+        flags are computed from the N^2 products E_i E_j directly.  A split
+        from eigen_split always meets them (A^N = I, zeta primitive, p not
+        dividing N).
+        """
         ctx = self.ctx
         r = self.isometry.lattice.rank
         a = self.isometry.matrix
+        projectors = [comp.projector for comp in self.components]
         total = RingMat.zeros(ctx, r, r)
-        idempotent = True
-        eigen_relation = True
-        orthogonal = True
-        for i, comp in enumerate(self.components):
-            e = comp.projector
+        for e in projectors:
             total = total + e
-            if (e @ e) != e:
-                idempotent = False
-            if (a @ e) != e.scale(comp.zeta):
-                eigen_relation = False
-            for j in range(i + 1, self.order):
-                f = self.components[j].projector
-                if not (e @ f).is_zero() or not (f @ e).is_zero():
-                    orthogonal = False
         sum_is_identity = total == RingMat.identity(ctx, r)
+        eigen_relation = all(
+            (a @ comp.projector) == comp.projector.scale(comp.zeta) for comp in self.components
+        )
+        residues = {ctx.reduce(comp.zeta) for comp in self.components}
+        if sum_is_identity and eigen_relation and len(residues) == len(self.components):
+            idempotent = orthogonal = True
+        else:
+            idempotent = all((e @ e) == e for e in projectors)
+            orthogonal = all(
+                (e @ f).is_zero() and (f @ e).is_zero()
+                for i, e in enumerate(projectors)
+                for f in projectors[i + 1 :]
+            )
         basis_cols = [b for c in self.components for b in c.basis]
         spans = (
             len(basis_cols) == r

@@ -5,7 +5,8 @@ and linalg, one home for each shape-free ring-array operation, one
 function that builds a PeriodLine, a serialize module that defines only
 the wire format and that only the entry points import, no call-time
 imports, CLI handlers that read no stream, every exported name used
-outside the tests, an `import k3lift` that loads no standard-library
+outside the tests (by name or through a module, not by a method of the
+same name), an `import k3lift` that loads no standard-library
 module beyond numpy's and json's, the benchmark tracer still finds every
 name it wraps, and the benchmark harness runs end to end."""
 
@@ -217,19 +218,52 @@ def test_cli_handlers_read_no_payload():
 _ENTRY_POINTS = frozenset()
 
 
+_SUBMODULES = frozenset(path.stem for path in PACKAGE.glob("*.py"))
+
+
+def _module_aliases(tree):
+    """The names a file binds to k3lift or to one of its submodules."""
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases |= {
+                alias.asname or "k3lift"
+                for alias in node.names if alias.name.split(".")[0] == "k3lift"
+            }
+        elif isinstance(node, ast.ImportFrom) and (
+            node.module == "k3lift" or (node.level and node.module is None)
+        ):
+            aliases |= {
+                alias.asname or alias.name for alias in node.names if alias.name in _SUBMODULES
+            }
+    return aliases
+
+
+def _is_module(node, aliases):
+    """node names k3lift or one of its submodules (k3lift.linalg, say)."""
+    if isinstance(node, ast.Name):
+        return node.id in aliases
+    return (
+        isinstance(node, ast.Attribute) and node.attr in _SUBMODULES
+        and _is_module(node.value, aliases)
+    )
+
+
 def _referenced_names(paths):
-    """Every name a Name load, an attribute, an import or a string constant
-    (perfbench/tracing.py wraps by name) mentions, except inside the
-    top-level definition of that same name."""
+    """Every name a Name load, an attribute of a module alias (k3lift or a
+    submodule, so that a method of the same name does not count), an import
+    or a string constant (perfbench/tracing.py wraps by name) mentions,
+    except inside the top-level definition of that same name."""
     found = set()
     for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        aliases = _module_aliases(tree)
         for top in tree.body:
             names = set()
             for node in ast.walk(top):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     names.add(node.id)
-                elif isinstance(node, ast.Attribute):
+                elif isinstance(node, ast.Attribute) and _is_module(node.value, aliases):
                     names.add(node.attr)
                 elif isinstance(node, ast.alias):
                     names.add(node.name.split(".")[-1])
@@ -245,6 +279,24 @@ def test_every_export_has_a_consumer():
     paths += [*ROOT.glob("demos/*.py"), *ROOT.glob("perfbench/*.py")]
     unused = set(k3lift.__all__) - _referenced_names(paths) - _ENTRY_POINTS
     assert sorted(unused) == []
+
+
+def test_a_method_of_the_same_name_is_no_consumer(tmp_path):
+    # area() is a module function that only a method call of the same name
+    # mentions; volume() is reached through module aliases
+    (tmp_path / "shapes.py").write_text(
+        "def area(shape):\n    return shape.area()\n\n\n"
+        "def volume(box):\n    return box.volume()\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "user.py").write_text(
+        "import k3lift\nfrom k3lift import linalg as la\n\n\n"
+        "def size(box):\n    return box.area() + k3lift.volume(box) + la.volume(box)\n",
+        encoding="utf-8",
+    )
+    names = _referenced_names([tmp_path / "shapes.py", tmp_path / "user.py"])
+    assert "volume" in names
+    assert "area" not in names
 
 
 def test_import_loads_no_extra_stdlib_module():
