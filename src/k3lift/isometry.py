@@ -45,10 +45,7 @@ class Isometry:
         if not isinstance(lattice, QuadLattice):
             raise InputError("an Isometry needs a ring lattice; use Isometry.from_integer")
         self.lattice = lattice
-        m = RingMat.from_rows(lattice.ring, matrix)
-        if m.rows != lattice.rank or m.cols != lattice.rank:
-            raise DimensionMismatch("matrix shape must match lattice rank")
-        self.matrix = m
+        self.matrix = lattice.matrix(matrix)
         if check and not self.verify():
             raise InputError("matrix does not preserve the pairing")
         self.declared_order = order

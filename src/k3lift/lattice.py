@@ -227,9 +227,6 @@ class IntLattice:
     def norm(self, v) -> int:
         return self.pairing(v, v)
 
-    def is_isotropic_vector(self, v) -> bool:
-        return self.norm(v) == 0
-
     def determinant(self) -> int:
         return bareiss_determinant(self.gram)
 
@@ -299,16 +296,20 @@ class QuadLattice:
             raise DimensionMismatch(f"vector length must be {self.rank}")
         return v
 
+    def matrix(self, rows) -> RingMat:
+        """rows, or a RingMat of this ring, as a rank x rank matrix: the one
+        reader of every matrix that acts on the lattice."""
+        m = RingMat.from_rows(self.ring, rows)
+        if m.rows != self.rank or m.cols != self.rank:
+            raise DimensionMismatch(f"matrix must be {self.rank} x {self.rank}")
+        return m
+
     def pairing(self, u, v) -> PadicScalar:
         """Bilinear pairing u . v = u^T (G v), one coefficient-array product."""
         return self.vector(u).dot(self.gram @ self.vector(v))
 
     def norm(self, v) -> PadicScalar:
         return self.pairing(v, v)
-
-    def is_isotropic_vector(self, v) -> bool:
-        """True when v . v = 0 at the working precision."""
-        return self.norm(v).is_zero()
 
     def direct_sum(self, other: "QuadLattice") -> "QuadLattice":
         if not isinstance(other, QuadLattice) or other.ring != self.ring:
@@ -354,8 +355,6 @@ class QuadLattice:
             if ctx is None:
                 raise InputError("a bare Gram matrix needs an explicit ring context")
             gram = data
-        if not isinstance(gram, list) or not gram:
-            raise InputError("a Gram matrix must be a nonempty list of rows")
         return cls(ctx, RingMat.from_json(ctx, gram))
 
     def __repr__(self) -> str:
@@ -394,10 +393,6 @@ class DiscriminantGroup:
         for d in self.invariants:
             out *= d
         return out
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.invariants
 
     def artin_invariant(self, p: int) -> int | None:
         """Half the length when the group is (Z/p)^(2*sigma); None otherwise."""

@@ -52,11 +52,7 @@ class SlopeDecomposition:
             raise DimensionMismatch("outer slope pieces must have equal positive rank")
         if len(self.low) + len(self.middle) + len(self.high) != lattice.rank:
             raise DimensionMismatch("sub-bases must concatenate to the ambient rank")
-        if frobenius is not None:
-            frobenius = RingMat.from_rows(lattice.ring, frobenius)
-            if frobenius.rows != lattice.rank or frobenius.cols != lattice.rank:
-                raise DimensionMismatch("frobenius shape must match lattice rank")
-        self.frobenius = frobenius
+        self.frobenius = None if frobenius is None else lattice.matrix(frobenius)
         self._validate()
 
     def _validate(self) -> None:
@@ -165,10 +161,6 @@ class SupersingularInput:
     def residue_eigenvalue(self) -> PadicScalar:
         """Eigenvalue of the reduced isometry on the Hodge line."""
         return _residue_eigenvalue(self.matrix, self.hodge_line)
-
-    @property
-    def symplectic(self) -> bool:
-        return self.residue_eigenvalue() == self.ctx.residue_context().one()
 
     def to_json(self) -> dict:
         out = {

@@ -13,7 +13,6 @@ bijection between such lines and (pW)^(r-2) at precision n.
 """
 
 from .errors import (
-    ContextMismatch,
     DegenerateForm,
     DimensionMismatch,
     InputError,
@@ -23,7 +22,7 @@ from .errors import (
 )
 from .hensel import hensel_root
 from .lattice import QuadLattice
-from .linalg import RingMat, RingVec, is_unimodular
+from .linalg import RingVec, is_unimodular
 from .witt import PadicScalar, RingContext
 
 
@@ -78,13 +77,7 @@ class PeriodFrame:
     @classmethod
     def from_json(cls, data, ctx: RingContext | None = None) -> "PeriodFrame":
         """A frame over its payload's 'ring' (or ctx), or bare Gram rows over ctx."""
-        if isinstance(data, dict) and "gram" in data:
-            if ctx is None:
-                ctx = RingContext.from_json(field(data, "ring"))
-            data = data["gram"]
-        elif ctx is None:
-            raise InputError("a bare frame Gram matrix needs an explicit ring context")
-        return cls(QuadLattice(ctx, RingMat.from_json(ctx, data)))
+        return cls(QuadLattice.from_json(data, ctx))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PeriodFrame) and other.lattice == self.lattice
@@ -111,12 +104,6 @@ class PeriodLine:
 
     def coordinates(self) -> tuple:
         return self.coords
-
-    def rescale(self, unit: PadicScalar) -> "PeriodLine":
-        """Same line presented by a rescaled generator."""
-        if not unit.is_unit():
-            raise ValuationViolation("rescaling factor must be a unit")
-        return from_generator(self.frame, self.generator.scale(unit))
 
     def to_json(self) -> dict:
         return {
@@ -179,11 +166,7 @@ def from_generator(frame: PeriodFrame, vector: RingVec) -> PeriodLine:
     Two generators of the same line yield identical coordinates, which is
     the scaling invariance behind the coordinate bijection.
     """
-    ctx = frame.ctx
-    if vector.ctx != ctx:
-        raise ContextMismatch("generator context differs from frame")
-    if vector.rank != frame.rank:
-        raise DimensionMismatch("generator length differs from frame rank")
+    vector = frame.lattice.vector(vector)
     lead = vector.entry(0)
     if not lead.is_unit():
         raise ProjectionCollapse("generator does not reduce into the Hodge line")
@@ -201,34 +184,16 @@ def from_generator(frame: PeriodFrame, vector: RingVec) -> PeriodLine:
     return PeriodLine(frame, coords, last, norm)
 
 
-class FrobeniusStructure:
-    """Semilinear Frobenius on a frame: F(sum a_i v_i) = sum sigma(a_i) F(v_i),
-    with the i-th column of the matrix giving F(v_i)."""
-
-    __slots__ = ("frame", "matrix")
-
-    def __init__(self, frame: PeriodFrame, matrix):
-        matrix = RingMat.from_rows(frame.ctx, matrix)
-        if matrix.rows != frame.rank or matrix.cols != frame.rank:
-            raise DimensionMismatch("Frobenius matrix must match frame rank")
-        self.frame = frame
-        self.matrix = matrix
-
-    def apply(self, v: RingVec) -> RingVec:
-        return self.matrix @ v.frobenius()
-
-    def to_json(self) -> dict:
-        return {"matrix": self.matrix.to_json()}
-
-
-def check_conditions(line: PeriodLine, frobenius: FrobeniusStructure | None = None) -> dict:
+def check_conditions(line: PeriodLine, frobenius=None) -> dict:
     """Report on the defining conditions of a line, recomputed from scratch.
 
     condition1: the generator reduces mod p to the Hodge line's vector.
     condition2: the generator is isotropic at precision n.
-    condition3: with a Frobenius structure, F(v_M) has valuation exactly 2;
-      without one it is reported as not checked (automatic for lines built
-      under a standard frame).
+    condition3: with a Frobenius matrix Phi (rows, or a RingMat of the
+      frame's context), whose i-th column is F(v_i), the sigma-linear
+      F(v) = Phi sigma(v) gives F(v_M) of valuation exactly 2; without one
+      it is reported as not checked (automatic for lines built under a
+      standard frame).
     """
     frame = line.frame
     ctx = frame.ctx
@@ -243,7 +208,7 @@ def check_conditions(line: PeriodLine, frobenius: FrobeniusStructure | None = No
         report["condition3_frobenius"] = None
         report["condition3_note"] = "not checked: no Frobenius supplied (automatic for standard frames)"
     else:
-        image = frobenius.apply(gen)
+        image = frame.lattice.matrix(frobenius) @ gen.frobenius()
         val = image.valuation()
         report["condition3_frobenius"] = bool(val == 2)
         if ctx.n < 3:

@@ -32,7 +32,7 @@ from .errors import (
 from .lattice import QuadLattice
 from .linalg import RingMat, RingVec, inverse, is_unimodular
 from .period import PeriodFrame, PeriodLine, from_generator
-from .witt import RingContext
+from .witt import RingContext, factorial_valuation
 
 
 def truncation_degree(n: int, p: int) -> int:
@@ -51,18 +51,9 @@ def truncation_degree(n: int, p: int) -> int:
     m = 1
     while m - (m - 1) // (p - 1) < n:
         m += 1
-    while m > 1 and m - 1 - _factorial_valuation(m - 1, p) >= n:
+    while m > 1 and m - 1 - factorial_valuation(m - 1, p) >= n:
         m -= 1
     return m
-
-
-def _factorial_valuation(k: int, p: int) -> int:
-    """v_p(k!) by Legendre's formula, the sum of floor(k / p^i)."""
-    out = 0
-    while k:
-        k //= p
-        out += k
-    return out
 
 
 class DeformationPoint:
@@ -122,15 +113,12 @@ class ConnectionData:
 
     def __init__(self, frame: PeriodFrame, matrices, check: bool = True):
         self.frame = frame
-        self.matrices = tuple(RingMat.from_rows(frame.ctx, mat) for mat in matrices)
+        self.matrices = tuple(frame.lattice.matrix(mat) for mat in matrices)
         r = frame.rank
         if len(self.matrices) != frame.parameter_count:
             raise DimensionMismatch(
                 f"need {frame.parameter_count} connection matrices, got {len(self.matrices)}"
             )
-        for mat in self.matrices:
-            if mat.rows != r or mat.cols != r:
-                raise DimensionMismatch("connection matrices must match frame rank")
         for i, di in enumerate(self.matrices):
             for dj in self.matrices[i + 1 :]:
                 if (di @ dj) != (dj @ di):
@@ -258,8 +246,9 @@ def transport(conn: ConnectionData, point: DeformationPoint, y: RingVec) -> Ring
     (M = 1) it is its constant term y, with no product at all.
     """
     ctx = conn.ctx
-    if point.ctx != ctx or y.ctx != ctx:
+    if point.ctx != ctx:
         raise ContextMismatch("transport inputs must share the connection's context")
+    y = conn.frame.lattice.vector(y)
     if len(point) != conn.dimension:
         raise DimensionMismatch("deformation point dimension differs from connection")
     bound = truncation_degree(ctx.n, ctx.p)

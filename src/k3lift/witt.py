@@ -13,7 +13,7 @@ also give the Frobenius lift on the class of x.
 import functools
 import operator
 import sys
-from math import gcd
+from math import factorial, gcd
 
 from .constraints import is_prime, multiplicative_order, prime_factors
 from .errors import (
@@ -48,6 +48,15 @@ def _digits(index: int, base: int, m: int) -> list[int]:
     for _ in range(m):
         index, digit = divmod(index, base)
         out.append(digit)
+    return out
+
+
+def factorial_valuation(k: int, p: int) -> int:
+    """v_p(k!) by Legendre's formula, the sum of floor(k / p^i)."""
+    out = 0
+    while k:
+        k //= p
+        out += k
     return out
 
 
@@ -405,17 +414,11 @@ class RingContext:
             raise InputError("k must be nonnegative")
         cached = self._gamma_cache.get(k)
         if cached is None:
-            e, fact = 0, 1
-            for i in range(2, k + 1):
-                fact *= i
-            while fact % self.p == 0 and fact > 1:
-                # exact p-adic valuation of k!
-                e += 1
-                fact //= self.p
+            e = factorial_valuation(k, self.p)
             if k - e >= self.n:
                 cached = self.zero()
             else:
-                unit_inv = pow(fact % self.pn, -1, self.pn)
+                unit_inv = pow(factorial(k) // self.p**e % self.pn, -1, self.pn)
                 cached = self.scalar((self.p ** (k - e)) * unit_inv)
             self._gamma_cache[k] = cached
         return cached

@@ -1,5 +1,6 @@
 """Repository-level checks: no assert statements, no float constants and
-no RingMat isinstance test outside linalg in the package, no use of the
+no RingMat isinstance test outside linalg in the package, no matrix shape
+compared outside lattice and linalg, no use of the
 ring-array layout outside linalg, no raw scalar constructor outside witt
 and linalg, one home for each shape-free ring-array operation, one
 function that builds a PeriodLine, a serialize module that defines only
@@ -60,6 +61,22 @@ def test_matrix_coercion_has_one_home():
     # RingMat.from_rows is the only place that tells a RingMat from rows
     found = _package_nodes(_isinstance_of_ringmat)
     assert [f for f in found if not f.startswith("linalg.py:")] == []
+
+
+def _compares_a_shape(node):
+    """node compares a .rows or .cols attribute."""
+    return isinstance(node, ast.Compare) and any(
+        isinstance(operand, ast.Attribute) and operand.attr in ("rows", "cols")
+        for operand in [node.left, *node.comparators]
+    )
+
+
+def test_square_matrix_check_has_one_home():
+    # QuadLattice.matrix reads every matrix that acts on a lattice, so no
+    # other module checks a matrix's shape itself
+    found = _package_nodes(_compares_a_shape)
+    assert found
+    assert [f for f in found if not f.startswith(("lattice.py:", "linalg.py:"))] == []
 
 
 def _touches_ring_array_layout(node):

@@ -422,6 +422,17 @@ def test_transport_context_checks():
         transport(conn, DeformationPoint(C53, [5, 5]), RingVec.basis_vector(C53, 3, 0))
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_transport_refuses_a_vector_of_another_rank(n):
+    # at n = 1 the series is y itself, so y's rank is checked before it
+    ctx = RingContext(5, n, 1)
+    conn = quadric_connection(_split_frame(ctx, [2, 2, 2]))
+    point = DeformationPoint(ctx, [0, 0, 0])
+    assert transport(conn, point, RingVec.basis_vector(ctx, 5, 0)).rank == 5
+    with pytest.raises(DimensionMismatch, match="vector length must be 5"):
+        transport(conn, point, RingVec.basis_vector(ctx, 7, 0))
+
+
 def test_deformation_point_validation():
     with pytest.raises(ValuationViolation):
         DeformationPoint(C53, [1])

@@ -1,8 +1,11 @@
-"""One matrix coercion for every constructor that takes a matrix.
+"""One matrix coercion for every constructor that takes a matrix, and one
+reader for every lattice payload.
 
-Each entry point reads its matrix through RingMat.from_rows, so a RingMat
-of a foreign context raises ContextMismatch and a matrix of the wrong
-shape raises DimensionMismatch, whichever object or builder receives it.
+Each entry point reads its matrix through RingMat.from_rows (a matrix that
+acts on a lattice through QuadLattice.matrix), so a RingMat of a foreign
+context raises ContextMismatch and a matrix of the wrong shape raises
+DimensionMismatch, whichever object or builder receives it.  A frame
+payload is a lattice payload, so it is refused as one.
 """
 
 import pytest
@@ -11,7 +14,7 @@ from k3lift import (
     ConnectionData,
     ContextMismatch,
     DimensionMismatch,
-    FrobeniusStructure,
+    InputError,
     Isometry,
     PeriodFrame,
     QuadLattice,
@@ -20,12 +23,15 @@ from k3lift import (
     RingVec,
     SlopeDecomposition,
     SupersingularInput,
+    check_conditions,
+    complete_period_line,
     lift_finite_height,
     universal_line,
 )
 
 C53 = RingContext(5, 3, 1)
 FOREIGN = RingContext(7, 2, 1)
+FRAME_GRAM = [[0, 0, 1], [0, 2, 0], [1, 0, 0]]
 
 
 def _hyperbolic():
@@ -33,7 +39,7 @@ def _hyperbolic():
 
 
 def _frame():
-    return PeriodFrame(QuadLattice(C53, [[0, 0, 1], [0, 2, 0], [1, 0, 0]]))
+    return PeriodFrame(QuadLattice(C53, FRAME_GRAM))
 
 
 def _slope():
@@ -49,7 +55,7 @@ _ENTRY_POINTS = [
     ("QuadLattice", 2, lambda mat: QuadLattice(C53, mat)),
     ("Isometry", 2, lambda mat: Isometry(_hyperbolic(), mat)),
     ("ConnectionData", 3, lambda mat: ConnectionData(_frame(), [mat], check=False)),
-    ("FrobeniusStructure", 3, lambda mat: FrobeniusStructure(_frame(), mat)),
+    ("check_conditions", 3, lambda mat: check_conditions(complete_period_line(_frame(), [0]), mat)),
     ("SupersingularInput", 2, lambda mat: SupersingularInput(_hyperbolic(), mat, [1, 0])),
     ("SlopeDecomposition", 2, lambda mat: SlopeDecomposition(
         _hyperbolic(), [[1, 0]], [], [[0, 1]], frobenius=mat)),
@@ -74,3 +80,22 @@ def test_from_rows_returns_a_matrix_of_its_context_unchanged():
     assert RingMat.from_rows(C53, a) is a
     with pytest.raises(ContextMismatch):
         RingMat.from_rows(FOREIGN, a)
+
+
+# (payload, context): each is refused by the lattice reader
+_REFUSED_LATTICE_PAYLOADS = {
+    "bare-rows-no-context": (FRAME_GRAM, None),
+    "no-gram": ({"ring": C53.to_json()}, None),
+    "ring-Z-no-context": ({"ring": "Z", "gram": FRAME_GRAM}, None),
+    "ring-Z-with-context": ({"ring": "Z", "gram": FRAME_GRAM}, C53),
+}
+
+
+@pytest.mark.parametrize("data, ctx", _REFUSED_LATTICE_PAYLOADS.values(),
+                         ids=_REFUSED_LATTICE_PAYLOADS.keys())
+def test_frame_payload_is_read_as_a_lattice_payload(data, ctx):
+    with pytest.raises(InputError) as lattice_error:
+        QuadLattice.from_json(data, ctx)
+    with pytest.raises(InputError) as frame_error:
+        PeriodFrame.from_json(data, ctx)
+    assert type(frame_error.value) is type(lattice_error.value)
