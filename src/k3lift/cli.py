@@ -10,11 +10,11 @@ is the exception class name, e.g. "NotTame".
 Payloads arrive via --in FILE or standard input, and `main` reads each
 one once: every subcommand but `constraints`, which takes flags only and
 refuses --in, --ctx and --seed, is a pure handler (payload, args, ctx) ->
-(output, exit code) that never touches a stream.  The ring context comes
-from --ctx p,n,m[,modulus-coefficients] or from a "ring" field embedded in
-the payload; an explicit --ctx wins.  A few subcommands accept {"sample":
-{...}} payloads that generate a reproducible random instance from --seed
-over the --ctx ring, for demos and determinism tests.
+(output, exit code) that never touches a stream.  --ctx p,n,m[,modulus-
+coefficients] gives the ring of a payload without a "ring" field (bare Gram
+rows, or a {"sample": {...}} that some subcommands expand into a random
+instance seeded by --seed); a payload's own ring must equal it, modulus
+included, or the call raises ContextMismatch.
 """
 
 import argparse
@@ -286,7 +286,8 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
         "--ctx",
         default=hidden if suppress else None,
         metavar="P,N,M[,MOD]",
-        help="ring context: p,n,m and optionally m+1 modulus coefficients",
+        help="ring context p,n,m and optionally m+1 modulus coefficients, for sample "
+        "and ring-less payloads; a payload's own ring must equal it",
     )
     parser.add_argument(
         "--seed",

@@ -341,21 +341,10 @@ class QuadLattice:
 
     @classmethod
     def from_json(cls, data, ctx: RingContext | None = None) -> "QuadLattice":
-        """A lattice over its payload's 'ring' (or ctx), or bare Gram rows over ctx."""
-        if isinstance(data, dict):
-            ring = data.get("ring")
-            if ring == "Z":
-                raise InputError("this payload needs a lattice over a ring context, not Z")
-            if ctx is None:
-                if not isinstance(ring, dict):
-                    raise InputError("lattice payload carries no ring and no context was given")
-                ctx = RingContext.from_json(ring)
-            gram = field(data, "gram")
-        else:
-            if ctx is None:
-                raise InputError("a bare Gram matrix needs an explicit ring context")
-            gram = data
-        return cls(ctx, RingMat.from_json(ctx, gram))
+        """A payload's 'gram', or bare Gram rows, over RingContext.of_payload's ring."""
+        ring = RingContext.of_payload(data, ctx)
+        gram = field(data, "gram") if isinstance(data, dict) else data
+        return cls(ring, RingMat.from_json(ring, gram))
 
     def __repr__(self) -> str:
         return f"QuadLattice(rank={self.rank} over {self.ring!r})"
@@ -369,11 +358,11 @@ class QuadLattice:
 
 
 def payload_lattice(data, ctx: RingContext | None = None) -> QuadLattice:
-    """The payload's 'lattice' field, or else a lattice of its own 'gram'
-    over its own 'ring' (or ctx)."""
+    """The payload's 'lattice' field, or else the payload, an object with a 'gram'."""
     if isinstance(data, dict) and "lattice" in data:
         return QuadLattice.from_json(data["lattice"], ctx)
-    return QuadLattice.from_json({"gram": field(data, "gram"), "ring": data.get("ring")}, ctx)
+    field(data, "gram")  # never bare rows: the payload has other fields
+    return QuadLattice.from_json(data, ctx)
 
 
 class DiscriminantGroup:

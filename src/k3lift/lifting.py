@@ -98,8 +98,7 @@ class SlopeDecomposition:
 
     @classmethod
     def from_json(cls, data: dict, ctx: RingContext | None = None) -> "SlopeDecomposition":
-        if ctx is None:
-            ctx = RingContext.from_json(field(data, "ring"))
+        ctx = RingContext.of_payload(data, ctx)
         gram = field(data, "gram")
         low, middle, high = (_vectors_from_json(ctx, data, k) for k in ("low", "middle", "high"))
         # the pieces' total length is the rank a flat Gram list is read with
@@ -175,8 +174,7 @@ class SupersingularInput:
 
     @classmethod
     def from_json(cls, data: dict, ctx: RingContext | None = None) -> "SupersingularInput":
-        if ctx is None:
-            ctx = RingContext.from_json(field(data, "ring"))
+        ctx = RingContext.of_payload(data, ctx)
         gram, matrix = field(data, "gram"), field(data, "matrix")
         hodge_line = RingVec.from_json(ctx.residue_context(), field(data, "hodge_line"))
         # the Hodge vector's length is the rank a flat Gram list is read with
@@ -263,8 +261,7 @@ class LiftingCertificate:
 
     @classmethod
     def from_json(cls, data: dict, ctx: RingContext | None = None) -> "LiftingCertificate":
-        if ctx is None:
-            ctx = RingContext.from_json(field(data, "ring"))
+        ctx = RingContext.of_payload(data, ctx)
         branch = field(data, "branch")
         if branch not in BRANCHES:
             raise InputError(f"field 'branch' must be one of {', '.join(BRANCHES)}")

@@ -76,7 +76,7 @@ class PeriodFrame:
 
     @classmethod
     def from_json(cls, data, ctx: RingContext | None = None) -> "PeriodFrame":
-        """A frame over its payload's 'ring' (or ctx), or bare Gram rows over ctx."""
+        """A frame read as a lattice payload (see QuadLattice.from_json)."""
         return cls(QuadLattice.from_json(data, ctx))
 
     def __eq__(self, other) -> bool:

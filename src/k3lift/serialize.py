@@ -41,7 +41,7 @@ def load_stream(stream: IO[str]) -> Any:
         raise InputError("malformed JSON input: nested too deeply") from exc
 
 
-# each reader takes the decoded value, plus a ring context where the payload has no ring
+# each reader takes the decoded value and a ring context, which a payload's own ring must equal
 scalar_from_json = RingContext.scalar
 vector_from_json = RingVec.from_json
 matrix_from_json = RingMat.from_json

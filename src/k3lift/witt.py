@@ -436,6 +436,22 @@ class RingContext:
         m = int_field(obj, "m") if "m" in obj else 1
         return cls(p, n, m, obj.get("modulus"))
 
+    @classmethod
+    def of_payload(cls, data, ctx: "RingContext | None" = None) -> "RingContext":
+        """The payload's 'ring' object, else ctx (a non-dict payload or a null
+        'ring' has none); a payload ring unequal to ctx is a ContextMismatch."""
+        ring = data.get("ring") if isinstance(data, dict) else None
+        if ring is None:
+            if ctx is None:
+                raise InputError("payload is missing required field 'ring'")
+            return ctx
+        if not isinstance(ring, dict):
+            raise InputError("field 'ring' must be a ring object")
+        own = cls.from_json(ring)
+        if ctx is not None and own != ctx:
+            raise ContextMismatch(f"payload ring {own.to_json()} vs context {ctx.to_json()}")
+        return own
+
 
 class PadicScalar:
     """An element of W(F_{p^m}) / p^n as a coefficient tuple over Z/p^n."""

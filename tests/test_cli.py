@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from k3lift import cli, torelli
 from k3lift import (
+    Isometry,
     QuadLattice,
     RingContext,
     RingMat,
@@ -649,6 +650,8 @@ _PROBE_BASES = {
     ),
     "period-complete": lambda: (["period-complete"], _period_complete_payload()),
     "phi-map": lambda: (["phi-map"], {"connection": _connection_payload(), "point": [5]}),
+    # a mutated ring reaches the comparison with --ctx
+    "verify --ctx": lambda: (["--ctx", "5,3,1", "verify"], _nonsymplectic_cert().to_json()),
 }
 
 _SCALAR_MESSAGE = "a scalar must be an integer or a coefficient array"
@@ -764,6 +767,92 @@ def test_main_fuzz_one_node_ends_in_exit_code_and_one_error(data):
         assert err.count("\n") == 1 and err.endswith("\n")
         assert set(json.loads(err)) == {"code", "message"}
         assert out == ""
+
+
+# -- a payload's ring and --ctx ------------------------------------------------------
+
+
+def test_verify_refuses_a_context_that_rereads_the_certificate():
+    # the bumped generator fails its eigen relation mod 125 but not mod 25, so
+    # over (5,2,1) the certificate would verify
+    data = _nonsymplectic_cert().to_json()
+    data["generator"][1][0] += 25
+    text = canonical_dumps(data)
+    assert _main_in_process(["verify"], text)[0] == 2
+    code, out, err = _main_in_process(["verify", "--ctx", "5,2,1"], text)
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    assert json.loads(err)["code"] == "ContextMismatch"
+
+
+def _nonsymplectic_payload():
+    return {
+        "ring": C53.to_json(),
+        "gram": [[5, 1], [1, 0]],
+        "matrix": [[-1, 0], [0, -1]],
+        "hodge_line": [1, 0],
+        "order": 2,
+    }
+
+
+def _isotropic_payload(ctx=C53):
+    return {"ring": ctx.to_json(), "gram": [[5, 1], [1, 0]], "u": [1, 0], "v": [0, 1]}
+
+
+def _eig_split_payload():
+    minus = RingMat.identity(C53, 2).scale(C53.scalar(-1))
+    return {**Isometry(QuadLattice(C53, [[5, 1], [1, 0]]), minus).to_json(), "order": 2}
+
+
+# (subcommand, payload, the payload's own ring as --ctx); the ring sits at the
+# payload's top level, or in lattice, decomposition, frame or connection.frame
+_RING_READERS = {
+    "verify": (["verify"], lambda: _nonsymplectic_cert().to_json(), "5,3,1"),
+    "finite-height": (["lift-search", "--mode", "finite-height"], _finite_height_payload, "5,3,1"),
+    "ss-nonsymplectic": (
+        ["lift-search", "--mode", "ss-nonsymplectic"], _nonsymplectic_payload, "5,3,1"
+    ),
+    "ss-symplectic": (["lift-search", "--mode", "ss-symplectic"], _symplectic_payload, "3,3,1"),
+    "eig-split": (["eig-split"], _eig_split_payload, "5,3,1"),
+    "isotropic-lift": (["isotropic-lift"], _isotropic_payload, "5,3,1"),
+    "period-complete": (["period-complete"], _period_complete_payload, "5,3,1"),
+    "phi-map": (["phi-map"], lambda: {"connection": _connection_payload(), "point": [5]}, "5,3,1"),
+    "phi-invert": (
+        ["phi-invert"], lambda: {"connection": _connection_payload(), "target": [5]}, "5,3,1"
+    ),
+}
+
+
+@pytest.mark.parametrize("args, payload, own", _RING_READERS.values(), ids=_RING_READERS.keys())
+def test_payload_ring_must_equal_the_context(args, payload, own):
+    text = canonical_dumps(payload())
+    code, out, err = _main_in_process(args, text)
+    assert (code, err) == (0, "")
+    assert _main_in_process([*args, "--ctx", own], text) == (0, out, "")
+    code, out, err = _main_in_process([*args, "--ctx", "5,2,1"], text)
+    assert (code, out, json.loads(err)["code"]) == (1, "", "ContextMismatch")
+
+
+def test_context_mismatch_names_both_moduli():
+    # x^2 + 3 against the default x^2 + 2: unequal rings of one repr
+    c532 = RingContext(5, 3, 2)
+    assert RingContext(5, 3, 2, [3, 0, 1]) != c532
+    assert repr(RingContext(5, 3, 2, [3, 0, 1])) == repr(c532)
+    payload = _isotropic_payload(c532)
+    code, out, err = _main_in_process(
+        ["isotropic-lift", "--ctx", "5,3,2,3,0,1"], canonical_dumps(payload)
+    )
+    assert (code, out) == (1, "")
+    error = json.loads(err)
+    assert error["code"] == "ContextMismatch"
+    assert "'modulus': [2, 0, 1]" in error["message"]
+    assert "'modulus': [3, 0, 1]" in error["message"]
+    # a ring without 'modulus' has the default one, so it equals x^2 + 2
+    del payload["ring"]["modulus"]
+    code, out, err = _main_in_process(["isotropic-lift"], canonical_dumps(payload))
+    assert (code, err) == (0, "")
+    assert _main_in_process(
+        ["isotropic-lift", "--ctx", "5,3,2,2,0,1"], canonical_dumps(payload)
+    ) == (0, out, "")
 
 
 def test_lift_search_flat_decomposition_gram():

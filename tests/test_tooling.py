@@ -1,15 +1,16 @@
 """Repository-level checks: no assert statements, no float constants and
 no RingMat isinstance test outside linalg in the package, no matrix shape
-compared outside lattice and linalg, no use of the
-ring-array layout outside linalg, no raw scalar constructor outside witt
-and linalg, one home for each shape-free ring-array operation, one
-function that builds a PeriodLine, a serialize module that defines only
-the wire format and that only the entry points import, no call-time
-imports, CLI handlers that read no stream, every exported name used
-outside the tests (by name or through a module, not by a method of the
-same name), an `import k3lift` that loads no standard-library
-module beyond numpy's and json's, the benchmark tracer still finds every
-name it wraps, and the benchmark harness runs end to end."""
+compared outside lattice and linalg, no ring built from a payload outside
+RingContext.of_payload, no use of the ring-array layout outside linalg, no
+raw scalar constructor outside witt and linalg, one home for each
+shape-free ring-array operation, one function that builds a PeriodLine, a
+serialize module that defines only the wire format and that only the entry
+points import, no call-time imports, CLI handlers that read no stream,
+every exported name used outside the tests (by name or through a module,
+not by a method of the same name), an `import k3lift` that loads no
+standard-library module beyond numpy's and json's, the benchmark tracer
+still finds every name it wraps, and the benchmark harness runs end to
+end."""
 
 import ast
 import json
@@ -77,6 +78,32 @@ def test_square_matrix_check_has_one_home():
     found = _package_nodes(_compares_a_shape)
     assert found
     assert [f for f in found if not f.startswith(("lattice.py:", "linalg.py:"))] == []
+
+
+def _ring_from_json_callers(node, cls=None, func=None):
+    """The enclosing function of each call of RingContext.from_json under
+    node: written RingContext.from_json, or cls.from_json in RingContext."""
+    if isinstance(node, ast.ClassDef):
+        cls = node.name
+    elif isinstance(node, ast.FunctionDef):
+        func = node.name
+    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+          and node.func.attr == "from_json" and isinstance(node.func.value, ast.Name)
+          and (node.func.value.id == "RingContext"
+               or (node.func.value.id in ("cls", "self") and cls == "RingContext"))):
+        yield func
+    for child in ast.iter_child_nodes(node):
+        yield from _ring_from_json_callers(child, cls, func)
+
+
+def test_payload_ring_has_one_home():
+    # RingContext.of_payload decides which ring a payload lives in, so no
+    # reader builds a ring from a payload itself
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{func}" for func in _ring_from_json_callers(tree)]
+    assert found == ["witt.py:of_payload"]
 
 
 def _touches_ring_array_layout(node):

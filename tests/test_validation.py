@@ -5,7 +5,8 @@ Each entry point reads its matrix through RingMat.from_rows (a matrix that
 acts on a lattice through QuadLattice.matrix), so a RingMat of a foreign
 context raises ContextMismatch and a matrix of the wrong shape raises
 DimensionMismatch, whichever object or builder receives it.  A frame
-payload is a lattice payload, so it is refused as one.
+payload is a lattice payload, so it is refused as one, and every reader of
+a ring-bearing payload refuses a bad or foreign ring with the same error.
 """
 
 import pytest
@@ -16,6 +17,7 @@ from k3lift import (
     DimensionMismatch,
     InputError,
     Isometry,
+    LiftingCertificate,
     PeriodFrame,
     QuadLattice,
     RingContext,
@@ -26,6 +28,7 @@ from k3lift import (
     check_conditions,
     complete_period_line,
     lift_finite_height,
+    lift_ss_nonsymplectic,
     universal_line,
 )
 
@@ -82,20 +85,50 @@ def test_from_rows_returns_a_matrix_of_its_context_unchanged():
         RingMat.from_rows(FOREIGN, a)
 
 
-# (payload, context): each is refused by the lattice reader
+# (edit of a valid payload, context, error class): each refused payload is
+# refused alike by every reader of a ring-bearing payload
 _REFUSED_LATTICE_PAYLOADS = {
-    "bare-rows-no-context": (FRAME_GRAM, None),
-    "no-gram": ({"ring": C53.to_json()}, None),
-    "ring-Z-no-context": ({"ring": "Z", "gram": FRAME_GRAM}, None),
-    "ring-Z-with-context": ({"ring": "Z", "gram": FRAME_GRAM}, C53),
+    "bare-rows-no-context": (lambda data: data["gram"], None, InputError),
+    "no-gram": (lambda data: {"ring": data["ring"]}, None, InputError),
+    "ring-Z-no-context": (lambda data: {**data, "ring": "Z"}, None, InputError),
+    "ring-Z-with-context": (lambda data: {**data, "ring": "Z"}, C53, InputError),
+    "ring-int-with-context": (lambda data: {**data, "ring": 5}, C53, InputError),
+    "ring-null-no-context": (lambda data: {**data, "ring": None}, None, InputError),
+    "foreign-ring-with-context": (
+        lambda data: {**data, "ring": FOREIGN.to_json()}, C53, ContextMismatch
+    ),
 }
 
 
-@pytest.mark.parametrize("data, ctx", _REFUSED_LATTICE_PAYLOADS.values(),
+def _lattice_payload():
+    return {"ring": C53.to_json(), "gram": FRAME_GRAM}
+
+
+def _certificate_payload():
+    minus = RingMat.identity(C53, 2).scale(C53.scalar(-1))
+    inp = SupersingularInput(QuadLattice(C53, [[5, 1], [1, 0]]), minus, [1, 0])
+    return lift_ss_nonsymplectic(inp, 2).to_json()
+
+
+# (reader, a minimal valid payload of its type)
+_RING_READERS = [
+    (QuadLattice.from_json, _lattice_payload),
+    (PeriodFrame.from_json, _lattice_payload),
+    (SlopeDecomposition.from_json, lambda: _slope().to_json()),
+    (SupersingularInput.from_json, lambda: SupersingularInput(
+        _hyperbolic(), RingMat.identity(C53, 2), [1, 0]).to_json()),
+    (LiftingCertificate.from_json, _certificate_payload),
+]
+
+
+@pytest.mark.parametrize("edit, ctx, error", _REFUSED_LATTICE_PAYLOADS.values(),
                          ids=_REFUSED_LATTICE_PAYLOADS.keys())
-def test_frame_payload_is_read_as_a_lattice_payload(data, ctx):
-    with pytest.raises(InputError) as lattice_error:
-        QuadLattice.from_json(data, ctx)
-    with pytest.raises(InputError) as frame_error:
-        PeriodFrame.from_json(data, ctx)
-    assert type(frame_error.value) is type(lattice_error.value)
+def test_frame_payload_is_read_as_a_lattice_payload(edit, ctx, error):
+    # one validation path: RingContext.of_payload decides every reader's
+    # ring, so the frame reader and the lattice, slope, supersingular-input
+    # and certificate readers all refuse a payload with one error class
+    for read, payload in _RING_READERS:
+        read(payload(), ctx)
+        with pytest.raises(InputError) as refused:
+            read(edit(payload()), ctx)
+        assert type(refused.value) is error
