@@ -3,7 +3,10 @@
 The unramified extension is modeled as (Z/p^n)[x] / (f) for a monic degree-m
 modulus f whose reduction mod p is irreducible.  Scalars are coefficient
 tuples in that quotient; every public value is an exact integer, never a
-float.  The residue field F_{p^m} is the same ring at precision n = 1, so
+float.  Every product of two scalars runs through one straight-line
+multiply-add per residue degree m (at most MAX_RESIDUE_DEGREE), generated
+and compiled once per process and bound to each ring's p^n and reduction
+table.  The residue field F_{p^m} is the same ring at precision n = 1, so
 reduction mod p is just a change of context, and the irreducibility of f is
 tested there, with the ring's own product.  Polynomials over the ring live
 here too: Horner evaluation, derivatives and Newton-Hensel roots, which
@@ -75,6 +78,53 @@ def default_modulus(p: int, m: int) -> tuple[int, ...]:
     raise InputError(f"no irreducible polynomial of degree {m} over F_{p} found")
 
 
+# The largest residue degree m a ring may have.  A K3 automorphism of order N
+# needs the N-th roots of unity, so m is the order of p mod N, which divides
+# lambda(N) <= phi(N) <= 20 for every tame K3 order; and the straight-line
+# product of _mul_add_factory(m) has O(m^2) terms.
+MAX_RESIDUE_DEGREE = 20
+
+
+@functools.cache
+def _mul_add_factory(m: int):
+    """make(pn, rows) -> mul_add(a, b, c=0), the product a b + c of two
+    coefficient tuples of length m, as straight-line code: the 2m - 1
+    convolution sums, each sum of degree k >= m folded in along rows[k - m]
+    (x^k reduced by the modulus), and one % pn per coefficient.  The source
+    depends on m alone; p^n and the rows come in as make's arguments.
+    Memoized, so each m is compiled once per process."""
+    idx = range(m)
+    high = range(m, 2 * m - 1)
+
+    def names(prefix, ks):
+        return "".join(f"{prefix}{k}, " for k in ks)
+
+    def conv(k):
+        return " + ".join(f"a{i} * b{k - i}" for i in range(max(0, k - m + 1), min(k, m - 1) + 1))
+
+    lines = ["def make(pn, rows):"]
+    if m > 1:
+        unpack = ", ".join(f"({names(f'r{k}_', idx)})" for k in high)
+        lines.append(f"    {unpack}, = rows")
+    lines += [
+        f"    def mul_add(a, b, c=(0,) * {m}):",
+        f"        {names('a', idx)}= a",
+        f"        {names('b', idx)}= b",
+        f"        {names('c', idx)}= c",
+        *(f"        s{k} = {conv(k)}" for k in high),
+        "        return ("
+        + "".join(
+            f"(c{j} + {conv(j)}" + "".join(f" + s{k} * r{k}_{j}" for k in high) + ") % pn, "
+            for j in idx
+        )
+        + ")",
+        "    return mul_add",
+    ]
+    namespace = {}
+    exec(compile("\n".join(lines), f"<mul_add m={m}>", "exec"), namespace)
+    return namespace["make"]
+
+
 def required_extension_degree(p: int, n_roots: int) -> int:
     """Least m with n_roots | p^m - 1, i.e. the multiplicative order of p mod n_roots."""
     if n_roots <= 0:
@@ -87,12 +137,14 @@ def required_extension_degree(p: int, n_roots: int) -> int:
 class RingContext:
     """Arithmetic context for W(F_{p^m}) / p^n.
 
-    Fields: odd prime p, precision n >= 1, residue degree m >= 1, and a monic
-    modulus of degree m over Z/p^n whose reduction mod p is irreducible.
-    Instances cache derived data (reduction tables, Frobenius action, roots
-    of unity, divided-power factors, residue-field inverses and generator,
-    the same extension at other precisions, linalg's dtype and F_q tables)
-    and are immutable.
+    Fields: odd prime p, precision n >= 1, residue degree
+    1 <= m <= MAX_RESIDUE_DEGREE, and a monic modulus of degree m over Z/p^n
+    whose reduction mod p is irreducible.  Scalars multiply through the
+    straight-line product of _mul_add_factory(m), bound to p^n and the
+    reduction table.  Instances cache derived data (reduction tables,
+    Frobenius action, roots of unity, divided-power factors, residue-field
+    inverses and generator, the same extension at other precisions, linalg's
+    dtype and F_q tables) and are immutable.
     """
 
     __slots__ = (
@@ -103,6 +155,7 @@ class RingContext:
         "pn",
         "q",
         "_xpow",
+        "_mul_add",
         "_derived",
         "_frob_matrix",
         "_root_cache",
@@ -123,6 +176,8 @@ class RingContext:
             raise InputError(f"precision n must be >= 1, got {n}")
         if m < 1:
             raise InputError(f"residue degree m must be >= 1, got {m}")
+        if m > MAX_RESIDUE_DEGREE:
+            raise InputError(f"residue degree m must be <= {MAX_RESIDUE_DEGREE}, got {m}")
         # entries run up to p^n - 1 and cross JSON in decimal, so p^n - 1 may
         # have at most the interpreter's int <-> str digit limit.  Since
         # 2^(3k) < 10^k < 2^(10k/3), the bit length of p settles all but a
@@ -147,6 +202,7 @@ class RingContext:
             raise InputError("modulus must be monic of degree m")
         self.modulus = modulus
         self._xpow = self._reduction_table()
+        self._mul_add = _mul_add_factory(m)(self.pn, self._xpow[m:])
         self._derived = {}
         self._frob_matrix = None
         self._root_cache = {}
@@ -179,7 +235,7 @@ class RingContext:
         return hash(self.key())
 
     def __repr__(self) -> str:
-        return f"RingContext(p={self.p}, n={self.n}, m={self.m})"
+        return f"RingContext(p={self.p}, n={self.n}, m={self.m}, modulus={list(self.modulus)})"
 
     def _is_field(self) -> bool:
         """Rabin's test at precision 1: F_p[x]/(f) is a field exactly when
@@ -276,28 +332,10 @@ class RingContext:
 
     # -- arithmetic core ----------------------------------------------------
 
-    def _mul_coeffs(self, a: tuple, b: tuple) -> tuple:
-        m, pn = self.m, self.pn
-        if m == 1:
-            return ((a[0] * b[0]) % pn,)
-        conv = [0] * (2 * m - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    conv[i + j] += ai * bj
-        out = list(conv[:m])
-        for k in range(m, 2 * m - 1):
-            ck = conv[k]
-            if ck:
-                red = self._xpow[k]
-                for j in range(m):
-                    out[j] += ck * red[j]
-        return tuple(c % pn for c in out)
-
     def _inverse_step(self, a: tuple, b: tuple) -> tuple:
         """b (2 - a b): when b inverts a mod p^k, this inverts it mod p^2k."""
-        ab, pn = self._mul_coeffs(a, b), self.pn
-        return self._mul_coeffs(b, ((2 - ab[0]) % pn,) + tuple(-c % pn for c in ab[1:]))
+        ab, pn = self._mul_add(a, b), self.pn
+        return self._mul_add(b, ((2 - ab[0]) % pn,) + tuple(-c % pn for c in ab[1:]))
 
     def _residue_inverse(self, key: tuple) -> tuple:
         """Inverse of the nonzero residue-field element with coefficients
@@ -502,7 +540,7 @@ class PadicScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return PadicScalar(self.ctx, self.ctx._mul_coeffs(self.coeffs, other.coeffs))
+        return PadicScalar(self.ctx, self.ctx._mul_add(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -573,7 +611,7 @@ class PadicScalar:
             steps = (ctx.n - 1).bit_length()
             for _ in range(steps):
                 b = ctx._inverse_step(a, b)
-        if ctx._mul_coeffs(a, b) != (1,) + (0,) * (ctx.m - 1):
+        if ctx._mul_add(a, b) != (1,) + (0,) * (ctx.m - 1):
             raise NoConvergence(f"Newton inversion not reached in {steps} steps")
         return PadicScalar(ctx, b)
 
@@ -615,15 +653,15 @@ class PadicScalar:
 def poly_eval(ctx: RingContext, coeffs, x) -> PadicScalar:
     """Evaluate sum coeffs[k] x^k (ascending degree) by Horner on coefficient
     tuples: each coefficient is coerced once, then every step is one
-    ctx._mul_coeffs product and a reduced sum."""
+    ctx._mul_add, acc x + c."""
     x = ctx.scalar(x).coeffs
     cs = [ctx.scalar(c).coeffs for c in coeffs]
     if not cs:
         return ctx.zero()
-    mul, pn = ctx._mul_coeffs, ctx.pn
+    mul_add = ctx._mul_add
     acc = cs[-1]
     for c in reversed(cs[:-1]):
-        acc = tuple((a + b) % pn for a, b in zip(mul(acc, x), c))
+        acc = mul_add(acc, x, c)
     return PadicScalar(ctx, acc)
 
 
@@ -662,7 +700,7 @@ def hensel_root(ctx: RingContext, coeffs, x0) -> PadicScalar:
     for step in range(1, steps + 1):
         if fx.is_zero():
             break
-        x = x - PadicScalar(ctx, ctx._mul_coeffs(fx.coeffs, s))
+        x = x - PadicScalar(ctx, ctx._mul_add(fx.coeffs, s))
         if step < steps:
             s = ctx._inverse_step(poly_eval(ctx, fprime, x).coeffs, s)
         fx = poly_eval(ctx, coeffs, x)

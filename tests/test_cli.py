@@ -833,10 +833,11 @@ def test_payload_ring_must_equal_the_context(args, payload, own):
 
 
 def test_context_mismatch_names_both_moduli():
-    # x^2 + 3 against the default x^2 + 2: unequal rings of one repr
+    # x^2 + 3 against the default x^2 + 2: unequal rings whose reprs differ
+    # only in the modulus
     c532 = RingContext(5, 3, 2)
     assert RingContext(5, 3, 2, [3, 0, 1]) != c532
-    assert repr(RingContext(5, 3, 2, [3, 0, 1])) == repr(c532)
+    assert repr(RingContext(5, 3, 2, [3, 0, 1])) != repr(c532)
     payload = _isotropic_payload(c532)
     code, out, err = _main_in_process(
         ["isotropic-lift", "--ctx", "5,3,2,3,0,1"], canonical_dumps(payload)
@@ -853,6 +854,21 @@ def test_context_mismatch_names_both_moduli():
     assert _main_in_process(
         ["isotropic-lift", "--ctx", "5,3,2,2,0,1"], canonical_dumps(payload)
     ) == (0, out, "")
+
+
+@pytest.mark.parametrize("spec", ["7,2,60", "3,1,100000", "1000000000000000003,1,5000"])
+def test_residue_degree_past_the_bound_is_refused(spec):
+    # each ran for 16 s or more before the bound on m: the reduction table,
+    # the modulus scan and its Rabin test all grow with m
+    code, out, err = _main_in_process(
+        ["isotropic-lift", "--ctx", spec], canonical_dumps(_isotropic_payload())
+    )
+    m = spec.split(",")[2]
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "code": "InputError",
+        "message": f"residue degree m must be <= 20, got {m}",
+    }
 
 
 def test_lift_search_flat_decomposition_gram():

@@ -19,10 +19,13 @@ from k3lift import (
     NotTame,
     PadicScalar,
     RingContext,
+    RingVec,
     ValuationViolation,
     default_modulus,
+    witt,
 )
 from k3lift.samples import random_scalar, random_unit
+from k3lift.witt import MAX_RESIDUE_DEGREE
 
 C531 = RingContext(5, 3, 1)
 C721 = RingContext(7, 2, 1)
@@ -478,3 +481,75 @@ def test_exact_div_p():
         a.exact_div_p(3)
     with pytest.raises(ValuationViolation):
         C531.scalar(7).exact_div_p(1)
+
+
+# -- the straight-line product ----------------------------------------------------
+
+
+def _schoolbook_mul_add(ctx, a, b, c):
+    """a b + c on coefficient tuples by the convolution loop and the
+    reduction table: the reference for ctx._mul_add."""
+    m, pn = ctx.m, ctx.pn
+    conv = [0] * (2 * m - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            conv[i + j] += ai * bj
+    out = [ck + cj for ck, cj in zip(conv[:m], c)]
+    for k in range(m, 2 * m - 1):
+        for j in range(m):
+            out[j] += conv[k] * ctx._xpow[k][j]
+    return tuple(v % pn for v in out)
+
+
+_PRODUCT_RINGS = [
+    *((3, n, m, None) for m in (1, 2, 3, 4, 10, 20) for n in (1, 2, 20)),
+    (5, 3, 2, [3, 0, 1]),
+    (7, 2, 2, [1, 0, 1]),
+]
+
+
+@pytest.mark.parametrize("p, n, m, modulus", _PRODUCT_RINGS)
+def test_mul_add_matches_the_schoolbook_product(p, n, m, modulus):
+    ctx = RingContext(p, n, m, modulus)
+    rng = random.Random(f"{p},{n},{m},{modulus}")
+    zero = (0,) * m
+    for _ in range(40):
+        a, b, c = (tuple(rng.randrange(ctx.pn) for _ in range(m)) for _ in range(3))
+        assert ctx._mul_add(a, b) == _schoolbook_mul_add(ctx, a, b, zero)
+        assert ctx._mul_add(a, b, c) == _schoolbook_mul_add(ctx, a, b, c)
+    top = (ctx.pn - 1,) * m
+    assert ctx._mul_add(top, top, top) == _schoolbook_mul_add(ctx, top, top, top)
+
+
+def test_rings_of_one_residue_degree_share_one_product():
+    witt._mul_add_factory.cache_clear()
+    rings = [
+        RingContext(5, 3, 3),
+        RingContext(7, 1, 3),
+        RingContext(3, 20, 3),
+        RingContext(5, 3, 3, [2, 0, 1, 1]),  # x^3 + x^2 + 2, irreducible mod 5
+    ]
+    assert len({ctx.key() for ctx in rings}) == 4
+    assert witt._mul_add_factory(3) is witt._mul_add_factory(3)
+    assert witt._mul_add_factory.cache_info().currsize == 1
+    assert len({ctx._mul_add.__code__ for ctx in rings}) == 1
+    RingContext(5, 3, 2)
+    assert witt._mul_add_factory.cache_info().currsize == 2
+
+
+def test_residue_degree_is_bounded():
+    assert MAX_RESIDUE_DEGREE == 20
+    assert RingContext(3, 2, 20).m == 20
+    for m in (21, 10**9):
+        with pytest.raises(InputError, match=f"^residue degree m must be <= 20, got {m}$"):
+            RingContext(3, 1, m)
+
+
+def test_repr_tells_apart_rings_that_differ_only_in_modulus():
+    other = RingContext(5, 3, 2, [3, 0, 1])
+    assert repr(other) == "RingContext(p=5, n=3, m=2, modulus=[3, 0, 1])"
+    assert repr(other) != repr(RingContext(5, 3, 2))
+    with pytest.raises(ContextMismatch) as info:
+        RingVec.from_entries(other, RingVec.basis_vector(RingContext(5, 3, 2), 2, 0))
+    assert "modulus=[2, 0, 1]" in str(info.value)
+    assert "modulus=[3, 0, 1]" in str(info.value)
