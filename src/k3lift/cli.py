@@ -98,15 +98,25 @@ def _read_payload(args) -> dict:
 # exit code).  Only `main` reads the payload and writes the output.
 
 
+# The largest sample sizes: the K3 lattice has rank 22 and its period
+# domain dimension 20, and a larger sample would be generated (its memory
+# allocated) before any check could refuse it.
+SAMPLE_BOUNDS = {"rank": 22, "dimension": 20}
+
+
 def _sample(payload, args, ctx):
     """(spec, rng) for a {"sample": spec} payload, with rng seeded from
     --seed (0 when unset); (None, None) for any other payload.  A sample
-    needs --ctx."""
+    needs --ctx, and its rank and dimension stay within SAMPLE_BOUNDS."""
     sample = payload.get("sample") if isinstance(payload, dict) else None
     if sample is None:
         return None, None
     if ctx is None:
         raise InputError("--ctx is required to generate a sample instance")
+    for key, bound in SAMPLE_BOUNDS.items():
+        value = sample.get(key) if isinstance(sample, dict) else None
+        if isinstance(value, int) and value > bound:
+            raise InputError(f"sample {key} {value} exceeds {bound}")
     return sample, Random(0 if args.seed is None else args.seed)
 
 

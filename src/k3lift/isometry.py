@@ -190,11 +190,6 @@ class EigenComponent:
     def rank(self) -> int:
         return len(self.basis)
 
-    def basis_matrix(self) -> RingMat | None:
-        if not self.basis:
-            return None
-        return RingMat.from_columns(self.zeta.ctx, self.basis)
-
     def to_json(self) -> dict:
         return {
             "eigenvalue": self.zeta.to_json(),
@@ -212,16 +207,18 @@ class EigenSplit:
 
     components[i] belongs to roots[i] = zeta^i where zeta is the chosen
     primitive N-th root; every component is kept, including rank-zero ones,
-    so that the completeness identity sums over all of them.
+    so that the completeness identity sums over all of them.  basis is the
+    stacked matrix [B_0 | ... | B_(N-1)] of the summand bases.
     """
 
-    __slots__ = ("isometry", "order", "roots", "components")
+    __slots__ = ("isometry", "order", "roots", "components", "basis")
 
     def __init__(self, isometry: Isometry, order: int, roots: list, components: list):
         self.isometry = isometry
         self.order = order
         self.roots = roots
         self.components = components
+        self.basis = RingMat.from_columns(self.ctx, [b for c in components for b in c.basis])
 
     @property
     def ctx(self) -> RingContext:
@@ -270,11 +267,7 @@ class EigenSplit:
                 for i, e in enumerate(projectors)
                 for f in projectors[i + 1 :]
             )
-        basis_cols = [b for c in self.components for b in c.basis]
-        spans = (
-            len(basis_cols) == r
-            and is_unimodular(RingMat.from_columns(ctx, basis_cols))
-        )
+        spans = sum(self.ranks()) == r and is_unimodular(self.basis)
         return {
             "sum_is_identity": sum_is_identity,
             "idempotent": idempotent,
@@ -284,21 +277,20 @@ class EigenSplit:
         }
 
     def pairing_orthogonality(self) -> bool:
-        """<L_zeta, L_xi> = 0 whenever zeta * xi != 1, checked exactly."""
-        gram = self.isometry.lattice.gram
-        one = self.ctx.one()
-        for i, ci in enumerate(self.components):
-            bi = ci.basis_matrix()
-            if bi is None:
-                continue
-            for j in range(i, self.order):
-                cj = self.components[j]
-                bj = cj.basis_matrix()
-                if bj is None or ci.zeta * cj.zeta == one:
-                    continue
-                if not (bi.transpose() @ gram @ bj).is_zero():
-                    return False
-        return True
+        """<L_zeta, L_xi> = 0 whenever zeta * xi != 1, checked exactly.
+
+        zeta^i zeta^j = 1 exactly when j = -i mod N, so in the one Gram
+        P = B^T G B of the stacked bases the rows of summand i must vanish
+        off the columns of summand -i mod N.
+        """
+        b, n = self.basis, self.order
+        gram = b.transpose() @ self.isometry.lattice.gram @ b
+        owner = [i for i, c in enumerate(self.components) for _ in c.basis]
+        return all(
+            gram.block([k for k, o in enumerate(owner) if o == i],
+                       [k for k, o in enumerate(owner) if o != -i % n]).is_zero()
+            for i in set(owner)
+        )
 
     def to_json(self) -> dict:
         return {

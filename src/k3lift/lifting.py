@@ -11,7 +11,6 @@ combination inside its complement).
 """
 
 from .errors import (
-    ContextMismatch,
     DimensionMismatch,
     HodgeLineNotEigen,
     IndependenceFailure,
@@ -56,24 +55,22 @@ class SlopeDecomposition:
         self._validate()
 
     def _validate(self) -> None:
-        """Every pairing comes from a Gram product of the piece matrices,
-        L^T G H and so on."""
-        ctx, g = self.lattice.ring, self.lattice.gram
-        full = RingMat.from_columns(ctx, self.low + self.middle + self.high)
+        """Every pairing is a block of the one Gram P = B^T G B of the
+        basis B = [L | M | H]."""
+        full = RingMat.from_columns(self.lattice.ring, self.low + self.middle + self.high)
         if residue_rank(full) != self.lattice.rank:
             raise InputError("slope sub-bases do not form an ambient basis")
-        low, high = RingMat.from_columns(ctx, self.low), RingMat.from_columns(ctx, self.high)
-        g_low, g_high = g @ low, g @ high
-        for name, piece, g_piece in (("low", low, g_low), ("high", high, g_high)):
-            if not (piece.transpose() @ g_piece).is_zero():
+        gram = full.transpose() @ self.lattice.gram @ full
+        h, k = len(self.high), len(self.middle)
+        low, middle, high = range(h), range(h, h + k), range(h + k, 2 * h + k)
+        for name, piece in (("low", low), ("high", high)):
+            if not gram.block(piece, piece).is_zero():
                 raise InputError(f"{name} slope piece must be isotropic")
-        if self.middle:
-            mid_t = RingMat.from_columns(ctx, self.middle).transpose()
-            if not ((mid_t @ g_low).is_zero() and (mid_t @ g_high).is_zero()):
-                raise InputError("middle slope piece must be orthogonal to the outer pieces")
-        if residue_rank(low.transpose() @ g_high) != len(self.high):
+        if not gram.block(middle, [*low, *high]).is_zero():
+            raise InputError("middle slope piece must be orthogonal to the outer pieces")
+        if residue_rank(gram.block(low, high)) != h:
             raise InputError("outer slope pieces must be dual (unit pairing matrix)")
-        if self.middle and residue_rank(mid_t @ g @ mid_t.transpose()) != len(self.middle):
+        if residue_rank(gram.block(middle, middle)) != k:
             raise InputError("middle slope piece must be unimodular")
 
     @property
@@ -131,17 +128,9 @@ class SupersingularInput:
     __slots__ = ("lattice", "isometry", "hodge_line", "ample")
 
     def __init__(self, lattice: QuadLattice, matrix, hodge_line, ample=None):
-        ctx = lattice.ring
         self.lattice = lattice
         self.isometry = Isometry(lattice, matrix)
-        res = ctx.residue_context()
-        if isinstance(hodge_line, RingVec) and hodge_line.ctx == ctx:
-            hodge_line = hodge_line.reduce_mod_p()
-        self.hodge_line = RingVec.from_entries(res, hodge_line)
-        if self.hodge_line.rank != lattice.rank:
-            raise DimensionMismatch("hodge line length must match lattice rank")
-        if self.hodge_line.is_zero():
-            raise InputError("hodge line vector must be nonzero")
+        self.hodge_line = _hodge_line(lattice, hodge_line)
         if ample is None:
             self.ample = None
         else:
@@ -188,6 +177,21 @@ class SupersingularInput:
         )
 
 
+def _hodge_line(lattice: QuadLattice, line) -> RingVec:
+    """The one reader of a Hodge line: a list of residue scalars, a residue
+    vector, or a vector of the lattice's ring (reduced mod p), as a nonzero
+    residue vector of the lattice's rank."""
+    ctx = lattice.ring
+    if isinstance(line, RingVec) and line.ctx == ctx:
+        line = line.reduce_mod_p()
+    vbar = RingVec.from_entries(ctx.residue_context(), line)
+    if vbar.rank != lattice.rank:
+        raise DimensionMismatch("hodge line length must match lattice rank")
+    if vbar.is_zero():
+        raise InputError("hodge line vector must be nonzero")
+    return vbar
+
+
 def _root_index(split: EigenSplit, lam_bar: PadicScalar) -> int:
     """Index of the root of the split whose residue is lam_bar;
     HodgeLineNotEigen when no N-th root of unity reduces to it."""
@@ -199,12 +203,10 @@ def _root_index(split: EigenSplit, lam_bar: PadicScalar) -> int:
 
 
 def _residue_eigenvalue(matrix: RingMat, vbar: RingVec) -> PadicScalar:
-    """lambda with (A mod p) vbar = lambda vbar; HodgeLineNotEigen otherwise."""
+    """lambda with (A mod p) vbar = lambda vbar (vbar != 0); HodgeLineNotEigen otherwise."""
     abar = matrix.reduce_mod_p()
     image = abar @ vbar
-    pivot = next((i for i in range(vbar.rank) if vbar.entry(i).is_unit()), None)
-    if pivot is None:
-        raise HodgeLineNotEigen("hodge vector is zero modulo p")
+    pivot = next(i for i in range(vbar.rank) if vbar.entry(i).is_unit())
     lam = image.entry(pivot) * vbar.entry(pivot).inverse()
     if image != vbar.scale(lam):
         raise HodgeLineNotEigen("hodge line is not an eigenline of the reduced isometry")
@@ -218,12 +220,18 @@ BRANCHES = ("finite-height", "ss-nonsymplectic", "ss-symplectic")
 
 
 class LiftingCertificate:
-    """Self-contained witness: (m, A, Gram) plus a re-checkable transcript."""
+    """Self-contained witness: (m, A, Gram) plus a re-checkable transcript.
+
+    The constructor is the one validation path of a certificate, built or
+    read: a known branch, a tame order, and core shapes that agree with the
+    Gram's rank, with a nonzero Hodge line; verify_certificate checks the rest.
+    """
 
     __slots__ = (
         "ctx",
         "branch",
         "order",
+        "_lattice",
         "gram",
         "matrix",
         "generator",
@@ -233,18 +241,24 @@ class LiftingCertificate:
     )
 
     def __init__(self, ctx, branch, order, gram, matrix, generator, eigenvalue, hodge_line, transcript):
+        if branch not in BRANCHES:
+            raise InputError(f"field 'branch' must be one of {', '.join(BRANCHES)}")
+        require_tame(ctx, order)
         self.ctx = ctx
         self.branch = branch
         self.order = int(order)
-        self.gram = gram
-        self.matrix = matrix
-        self.generator = generator
-        self.eigenvalue = eigenvalue
-        self.hodge_line = hodge_line
+        self._lattice = lat = QuadLattice(ctx, gram)
+        self.gram = lat.gram
+        self.matrix = lat.matrix(matrix)
+        self.generator = lat.vector(generator)
+        self.eigenvalue = ctx.scalar(eigenvalue)
+        self.hodge_line = _hodge_line(lat, hodge_line)
+        if not isinstance(transcript, list) or not all(isinstance(e, dict) for e in transcript):
+            raise InputError("field 'transcript' must be a list of claim objects")
         self.transcript = list(transcript)
 
     def lattice(self) -> QuadLattice:
-        return QuadLattice(self.ctx, self.gram)
+        return self._lattice
 
     def to_json(self) -> dict:
         return {
@@ -263,17 +277,13 @@ class LiftingCertificate:
     def from_json(cls, data: dict, ctx: RingContext | None = None) -> "LiftingCertificate":
         ctx = RingContext.of_payload(data, ctx)
         branch = field(data, "branch")
-        if branch not in BRANCHES:
-            raise InputError(f"field 'branch' must be one of {', '.join(BRANCHES)}")
         order = int_field(data, "order")
         gram = RingMat.from_json(ctx, field(data, "gram"))
         matrix = RingMat.from_json(ctx, field(data, "matrix"), gram.rows)
         generator = RingVec.from_json(ctx, field(data, "generator"))
-        eigenvalue = ctx.scalar(field(data, "eigenvalue"))
+        eigenvalue = field(data, "eigenvalue")
         hodge_line = RingVec.from_json(ctx.residue_context(), field(data, "hodge_line"))
         transcript = data.get("transcript", [])
-        if not isinstance(transcript, list) or not all(isinstance(e, dict) for e in transcript):
-            raise InputError("field 'transcript' must be a list of claim objects")
         return cls(ctx, branch, order, gram, matrix, generator, eigenvalue, hodge_line, transcript)
 
     def __repr__(self) -> str:
@@ -352,7 +362,6 @@ def verify_certificate(cert: LiftingCertificate) -> VerificationReport:
     mbar = m.reduce_mod_p()
     line_ok = (
         not mbar.is_zero()
-        and not cert.hodge_line.is_zero()
         and residue_rank(RingMat.from_columns(ctx.residue_context(), [mbar, cert.hodge_line])) == 1
     )
     record("core:reduction-line", line_ok, "m mod p spans the hodge line")
@@ -418,9 +427,8 @@ def lift_finite_height(
     """
     ctx = sd.ctx
     require_tame(ctx, order, NotWeaklyTame)
-    if isinstance(isometry, Isometry):
-        isometry = isometry.matrix
     a = Isometry(sd.lattice, isometry).matrix
+    hodge_line = _hodge_line(sd.lattice, hodge_line)
     # restrict to each piece; the isometry must stabilize every one of them
     for name, piece in (("low", sd.low), ("middle", sd.middle), ("high", sd.high)):
         if not piece:
@@ -433,9 +441,6 @@ def lift_finite_height(
     if high_mat ** order != RingMat.identity(ctx, h):
         raise OrderViolation(f"restricted action does not have order dividing {order}")
     # express the hodge line in the top piece's residue coordinates
-    res = ctx.residue_context()
-    if hodge_line.ctx != res:
-        raise ContextMismatch("hodge line must live over the residue field")
     xbar = solve_in_span([b.reduce_mod_p() for b in sd.high], hodge_line)
     if xbar is None:
         raise HodgeLineNotEigen("hodge line does not reduce into the top slope piece")
@@ -599,8 +604,6 @@ def universal_line(
     pivot = next(i for i in range(m.rank) if m.entry(i).is_unit())
     reports = []
     for k, beta in enumerate(others):
-        if isinstance(beta, Isometry):
-            beta = beta.matrix
         iso = Isometry(sd.lattice, beta, check=False)
         image = iso.matrix @ m
         factor = image.entry(pivot) * m.entry(pivot).inverse()

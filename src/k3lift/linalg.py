@@ -13,8 +13,8 @@ This module is the one home of that layout: no other module reads the
 array or calls the raw RingVec(ctx, arr)/RingMat(ctx, arr) constructor,
 which belongs to linalg and takes an array that is already reduced mod p^n
 and in storage layout.  Other modules build arrays through the coercions
-and move entries between shapes with reshape, RingMat.stack and
-RingVec.dot.
+and move entries between shapes with reshape, RingMat.stack,
+RingMat.block and RingVec.dot.
 
 RingVec and RingMat share one private base, _RingArray, which holds the
 constructor and every operation that does not depend on shape: +, -,
@@ -443,6 +443,11 @@ class RingMat(_RingArray):
 
     def row(self, i: int) -> RingVec:
         return RingVec(self.ctx, self.arr[:, i, :].copy())
+
+    def block(self, rows, cols) -> "RingMat":
+        """The submatrix on the row indices rows and the column indices cols,
+        in the given order; either sequence may be empty."""
+        return RingMat(self.ctx, self.arr[np.ix_(range(self.ctx.m), rows, cols)])
 
     def __matmul__(self, other):
         if isinstance(other, RingMat):

@@ -871,6 +871,80 @@ def test_residue_degree_past_the_bound_is_refused(spec):
     }
 
 
+@pytest.mark.parametrize(
+    "command, key, size, bound",
+    [
+        ("eig-split", "rank", 400, 22),
+        ("eig-split", "rank", 10**9, 22),
+        ("isotropic-lift", "rank", 23, 22),
+        ("period-complete", "rank", 10**9, 22),
+        ("phi-map", "dimension", 21, 20),
+    ],
+)
+def test_sample_past_the_k3_size_is_refused(command, key, size, bound):
+    # the bound is checked before the generator runs, so 10^9 allocates nothing;
+    # rank 400 took 7.7 s and wrote 1.9 MB before the bound
+    sample = {key: size, "order": 3}
+    code, out, err = _main_in_process(
+        [command, "--ctx", "7,2,1"], canonical_dumps({"sample": sample})
+    )
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    assert json.loads(err) == {
+        "code": "InputError",
+        "message": f"sample {key} {size} exceeds {bound}",
+    }
+
+
+def _order_probe(order):
+    """A certificate whose eigenvalue 2 is a unit of order 100 in W(F_5)/5^3,
+    not a root of unity of tame order: A = diag(2, 2^-1) (63 = 2^-1 mod 125)
+    preserves the hyperbolic plane, and e1 is an isotropic eigenvector."""
+    return {
+        "ring": C53.to_json(),
+        "branch": "ss-nonsymplectic",
+        "order": order,
+        "gram": [[0, 1], [1, 0]],
+        "matrix": [[2, 0], [0, 63]],
+        "generator": [1, 0],
+        "eigenvalue": 2,
+        "hodge_line": [1, 0],
+        "transcript": [],
+    }
+
+
+@pytest.mark.parametrize("order, code, error", [(0, 1, "InputError"), (-4, 1, "InputError"),
+                                                (100, 2, "NotTame")])
+def test_verify_refuses_an_order_that_is_not_tame(order, code, error):
+    # orders 0 and 100 verified valid before the order was read through
+    # require_tame, and -4 was reported as a failed lambda^N = 1 check
+    got, out, err = _main_in_process(["verify"], canonical_dumps(_order_probe(order)))
+    assert (got, out, err.count("\n")) == (code, "", 1)
+    assert json.loads(err)["code"] == error
+
+
+def test_verify_reports_a_tame_order_the_eigenvalue_misses():
+    code, out, err = _main_in_process(["verify"], canonical_dumps(_order_probe(4)))
+    assert (code, err) == (2, "")
+    failed = [c["claim"] for c in json.loads(out)["checks"] if not c["ok"]]
+    assert failed == ["core:eigenvalue-order"]
+
+
+@pytest.mark.parametrize("mode", ["finite-height", "ss-nonsymplectic", "ss-symplectic", None])
+def test_zero_hodge_line_is_malformed_input(mode):
+    # finite height and verify used to exit 2, from the eigenline search and
+    # from a failed core:reduction-line check
+    if mode is None:
+        args, payload = ["verify"], _nonsymplectic_cert().to_json()
+    else:
+        base = {"finite-height": _finite_height_payload, "ss-symplectic": _symplectic_payload,
+                "ss-nonsymplectic": _nonsymplectic_payload}[mode]
+        args, payload = ["lift-search", "--mode", mode], base()
+    payload["hodge_line"] = [0] * len(payload["hodge_line"])
+    code, out, err = _main_in_process(args, canonical_dumps(payload))
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"code": "InputError", "message": "hodge line vector must be nonzero"}
+
+
 def test_lift_search_flat_decomposition_gram():
     # a flat m = 1 Gram of plain ints is read row-major with the square-root rank
     nested = _finite_height_payload()

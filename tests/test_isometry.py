@@ -289,6 +289,61 @@ def test_identities_match_the_product_loop(source):
         assert all(_assert_matches_product_loop(split).values())
 
 
+def _pair_loop_orthogonality(split):
+    """The oracle: one product B_i^T G B_j per pair of nonzero summands whose
+    roots do not multiply to 1."""
+    ctx, gram = split.ctx, split.isometry.lattice.gram
+    for i, ci in enumerate(split.components):
+        for cj in split.components[i:]:
+            if ci.rank and cj.rank and ci.zeta * cj.zeta != ctx.one():
+                bi, bj = RingMat.from_columns(ctx, ci.basis), RingMat.from_columns(ctx, cj.basis)
+                if not (bi.transpose() @ gram @ bj).is_zero():
+                    return False
+    return True
+
+
+@pytest.mark.parametrize("source", list(SPLIT_SOURCES))
+def test_pairing_orthogonality_matches_the_pair_loop(source):
+    for split in SPLIT_SOURCES[source]():
+        assert (split.pairing_orthogonality(), _pair_loop_orthogonality(split)) == (True, True)
+
+
+def _random_symmetric(rng, ctx, r):
+    rows = [[rng.randrange(ctx.pn) for _ in range(r)] for _ in range(r)]
+    return [[rows[min(i, j)][max(i, j)] for j in range(r)] for i in range(r)]
+
+
+def _unpreserved(iso, gram):
+    """The isometry's matrix on a Gram it does not preserve."""
+    return Isometry(QuadLattice(iso.lattice.ring, gram), iso.matrix, check=False)
+
+
+# (isometry on a Gram it does not preserve, order): eigen_split reads only
+# the matrix, so non-partner summands of these splits pair nontrivially
+UNPRESERVED = {
+    # e_0 (root 1) . e_1 (root -1) = 1
+    "involution": lambda: (_unpreserved(
+        Isometry(_diag_lattice(C52, [1, -1]), [[1, 0], [0, -1]]), [[1, 1], [1, 1]]), 2),
+    # each eigenline pairs with itself
+    "A2 rotation": lambda: (_unpreserved(
+        Isometry(QuadLattice(C72, [[2, -1], [-1, 2]]), [[0, -1], [1, -1]]), [[1, 0], [0, 1]]), 3),
+    **{
+        f"rank 22 {spec} N={order}": (lambda spec=spec, order=order: (_unpreserved(
+            random_tame_isometry(random.Random(order), RingContext(*spec), 22, order),
+            _random_symmetric(random.Random(str(spec)), RingContext(*spec), 22)), order))
+        for spec, order in [((7, 6, 2), 12), ((67, 1, 1), 66)]
+    },
+}
+
+
+@pytest.mark.parametrize("source", list(UNPRESERVED))
+def test_pairing_orthogonality_fails_off_the_partner_summands(source):
+    iso, order = UNPRESERVED[source]()
+    assert not iso.verify()
+    split = eigen_split(iso, order)
+    assert (split.pairing_orthogonality(), _pair_loop_orthogonality(split)) == (False, False)
+
+
 def _rebuilt(split, zetas, projectors):
     components = [
         EigenComponent(zeta, c.index, e, c.basis)

@@ -192,6 +192,21 @@ def test_stack_checks_every_block():
         RingMat.stack(C, [a, _mat(C, [[1, 2, 3]])])
 
 
+def test_block_takes_any_index_sequences():
+    ctx = RingContext(3, 2, 2)
+    rows = [[ctx.scalar([i, j]) for j in range(4)] for i in range(3)]
+    a = RingMat.from_rows(ctx, rows)
+    # non-contiguous, reordered and repeated indices, ranges and tuples
+    assert a.block([2, 0], (3, 1, 1)) == RingMat.from_rows(
+        ctx, [[rows[i][j] for j in (3, 1, 1)] for i in (2, 0)]
+    )
+    assert a.block(range(3), range(4)) == a
+    for rows_, cols, shape in (([], [1, 2], (0, 2)), ([1], [], (1, 0)), ([], [], (0, 0))):
+        empty = a.block(rows_, cols)
+        assert (empty.rows, empty.cols) == shape
+        assert empty.is_zero() and residue_rank(empty) == 0
+
+
 def test_dot_is_the_identity_pairing():
     ctx = RingContext(3, 2, 2)
     rng = random.Random(5)

@@ -1,5 +1,5 @@
-"""One matrix coercion for every constructor that takes a matrix, and one
-reader for every lattice payload.
+"""One matrix coercion for every constructor that takes a matrix, one
+Hodge-line reader, and one reader for every lattice payload.
 
 Each entry point reads its matrix through RingMat.from_rows (a matrix that
 acts on a lattice through QuadLattice.matrix), so a RingMat of a foreign
@@ -7,6 +7,9 @@ context raises ContextMismatch and a matrix of the wrong shape raises
 DimensionMismatch, whichever object or builder receives it.  A frame
 payload is a lattice payload, so it is refused as one, and every reader of
 a ring-bearing payload refuses a bad or foreign ring with the same error.
+Every builder that takes a Hodge line reads it through lifting's one
+reader, so a list, a residue vector and a full-precision vector give one
+line, and a zero, short or foreign one is refused alike.
 """
 
 import pytest
@@ -83,6 +86,38 @@ def test_from_rows_returns_a_matrix_of_its_context_unchanged():
     assert RingMat.from_rows(C53, a) is a
     with pytest.raises(ContextMismatch):
         RingMat.from_rows(FOREIGN, a)
+
+
+# (entry point, call with a Hodge line returning the line it stores)
+_HODGE_ENTRY_POINTS = [
+    ("SupersingularInput", lambda line: SupersingularInput(
+        _hyperbolic(), RingMat.identity(C53, 2), line).hodge_line),
+    ("lift_finite_height", lambda line: lift_finite_height(
+        _slope(), RingMat.identity(C53, 2), 1, line).hodge_line),
+    ("universal_line", lambda line: universal_line(
+        _slope(), RingMat.identity(C53, 2), 1, line, [])[0].hodge_line),
+    ("LiftingCertificate", lambda line: LiftingCertificate(
+        C53, "finite-height", 1, [[0, 1], [1, 0]], RingMat.identity(C53, 2), [0, 1], 1, line, []
+    ).hodge_line),
+]
+
+
+@pytest.mark.parametrize("call", [e[1] for e in _HODGE_ENTRY_POINTS],
+                         ids=[e[0] for e in _HODGE_ENTRY_POINTS])
+def test_hodge_line_entry_points_share_one_reader(call):
+    # a list, a residue vector and a full-precision vector (26 = 1 mod 5)
+    # are one stored line
+    lines = ([0, 1], _hodge(), RingVec.from_entries(C53, [0, 26]))
+    assert [call(line) for line in lines] == [_hodge()] * 3
+    for line, error in (
+        ([0, 0], InputError),
+        (RingVec.from_entries(C53, [25, 0]), InputError),  # zero mod p
+        ([0, 1, 0], DimensionMismatch),
+        (RingVec.from_entries(FOREIGN, [0, 1]), ContextMismatch),
+    ):
+        with pytest.raises(InputError) as refused:
+            call(line)
+        assert type(refused.value) is error
 
 
 # (edit of a valid payload, context, error class): each refused payload is
