@@ -210,11 +210,11 @@ def _cmd_lift_search(payload, args, ctx):
     order = int_field(payload, "order")
     if args.mode == "finite-height":
         sd = SlopeDecomposition.from_json(field(payload, "decomposition"), ctx)
-        matrix = matrix_from_json(sd.ctx, field(payload, "matrix"), sd.lattice.rank)
+        matrix = matrix_from_json(sd.ctx, field(payload, "matrix"))
         hodge = vector_from_json(sd.ctx.residue_context(), field(payload, "hodge_line"))
         if payload.get("others") is not None:
             others = list_field(payload, "others")
-            mats = [matrix_from_json(sd.ctx, mj, sd.lattice.rank) for mj in others]
+            mats = [matrix_from_json(sd.ctx, mj) for mj in others]
             cert, reports = universal_line(sd, matrix, order, hodge, mats)
             out = cert.to_json()
             out["stability"] = reports

@@ -1,5 +1,5 @@
 """Arithmetic gates: Euler phi and the phi(order) | rank gate, tameness,
-uniqueness orders, prime scans.
+the one tame-order gate (require_tame), uniqueness orders, prime scans.
 
 Pure integer arithmetic with no ring-context dependencies, and the one
 home of the package's primality test (deterministic Miller-Rabin, below
@@ -14,7 +14,7 @@ assuming it.
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .errors import InputError
+from .errors import InputError, NotTame
 
 UNIQUENESS_ORDERS = (13, 17, 19, 25, 27, 32, 33, 40, 44, 50, 66)
 
@@ -125,6 +125,14 @@ def tameness(p: int, n: int) -> str:
     if n < 1:
         raise InputError("order must be a positive integer")
     return "tame" if n % p != 0 else "wild"
+
+
+def require_tame(p: int, order: int, error=NotTame) -> None:
+    """The tame-order gate: order a positive integer not divisible by p."""
+    if order < 1:
+        raise InputError("order must be a positive integer")
+    if order % p == 0:
+        raise error(f"order {order} is divisible by p = {p}")
 
 
 def surface_thresholds(p: int) -> dict:

@@ -16,7 +16,6 @@ from .errors import (
     DimensionMismatch,
     InputError,
     NotEigenvector,
-    NotTame,
     OrderViolation,
     ProjectionCollapse,
     field,
@@ -123,7 +122,7 @@ class Isometry:
         order = data.get("order")
         if order is not None and (isinstance(order, bool) or not isinstance(order, int)):
             raise InputError("field 'order' must be an integer")
-        return cls(lat, RingMat.from_json(lat.ring, field(data, "matrix"), lat.rank), order=order)
+        return cls(lat, RingMat.from_json(lat.ring, field(data, "matrix")), order=order)
 
     def __repr__(self) -> str:
         return f"Isometry(rank={self.lattice.rank})"
@@ -303,14 +302,6 @@ class EigenSplit:
         return f"EigenSplit(order={self.order}, ranks={self.ranks()})"
 
 
-def require_tame(ctx: RingContext, order: int, error=NotTame) -> None:
-    """The tame-order gate: order a positive integer not divisible by p."""
-    if order < 1:
-        raise InputError("order must be a positive integer")
-    if order % ctx.p == 0:
-        raise error(f"order {order} is divisible by p = {ctx.p}")
-
-
 def eigen_split(isometry: Isometry, order: int) -> EigenSplit:
     """Split a tame ring isometry into eigenspace summands.
 
@@ -320,7 +311,8 @@ def eigen_split(isometry: Isometry, order: int) -> EigenSplit:
     """
     lat = isometry.lattice
     ctx = lat.ring
-    require_tame(ctx, order)
+    # the tame gate and N | q - 1 are checked before the N powers are built
+    roots = ctx.nth_roots_of_unity(order)
     a = isometry.matrix
     r = lat.rank
     powers = [RingMat.identity(ctx, r)]
@@ -328,7 +320,6 @@ def eigen_split(isometry: Isometry, order: int) -> EigenSplit:
         powers.append(powers[-1] @ a)
     if (powers[-1] @ a) != powers[0]:
         raise OrderViolation(f"A^{order} is not the identity")
-    roots = ctx.nth_roots_of_unity(order)
     inv_n = ctx.scalar(order).inverse()
     # all N projectors in one product: [zeta^(-ik) / N]_(i,k) times the
     # N x r^2 stack whose row k is A^k; zeta^(-ik) = roots[(-i*k) mod N]

@@ -10,6 +10,7 @@ the u + p a v construction at eigenvalue -1), and supersingular symplectic
 combination inside its complement).
 """
 
+from .constraints import require_tame
 from .errors import (
     DimensionMismatch,
     HodgeLineNotEigen,
@@ -26,7 +27,7 @@ from .errors import (
     int_field,
 )
 from .hensel import isotropic_combination, orthogonalize_with_coefficient
-from .isometry import EigenSplit, Isometry, eigen_split, lift_eigenvector, require_tame
+from .isometry import EigenSplit, Isometry, eigen_split, lift_eigenvector
 from .lattice import QuadLattice
 from .linalg import RingMat, RingVec, residue_rank, solve_in_span
 from .witt import PadicScalar, RingContext
@@ -97,20 +98,18 @@ class SlopeDecomposition:
     def from_json(cls, data: dict, ctx: RingContext | None = None) -> "SlopeDecomposition":
         ctx = RingContext.of_payload(data, ctx)
         gram = field(data, "gram")
-        low, middle, high = (_vectors_from_json(ctx, data, k) for k in ("low", "middle", "high"))
-        # the pieces' total length is the rank a flat Gram list is read with
-        rank = len(low) + len(middle) + len(high)
+        low, middle, high = (_vectors_field(ctx, data, k) for k in ("low", "middle", "high"))
         frobenius = data.get("frobenius")
         return cls(
-            QuadLattice(ctx, RingMat.from_json(ctx, gram, rank)),
+            QuadLattice(ctx, RingMat.from_json(ctx, gram)),
             low,
             middle,
             high,
-            None if frobenius is None else RingMat.from_json(ctx, frobenius, rank),
+            None if frobenius is None else RingMat.from_json(ctx, frobenius),
         )
 
 
-def _vectors_from_json(ctx: RingContext, data: dict, key: str) -> list[RingVec]:
+def _vectors_field(ctx: RingContext, data: dict, key: str) -> list[RingVec]:
     vecs = data.get(key, [])
     if not isinstance(vecs, list):
         raise InputError(f"field '{key}' must be a list of vectors")
@@ -166,12 +165,10 @@ class SupersingularInput:
         ctx = RingContext.of_payload(data, ctx)
         gram, matrix = field(data, "gram"), field(data, "matrix")
         hodge_line = RingVec.from_json(ctx.residue_context(), field(data, "hodge_line"))
-        # the Hodge vector's length is the rank a flat Gram list is read with
-        lat = QuadLattice(ctx, RingMat.from_json(ctx, gram, hodge_line.rank))
         ample = data.get("ample")
         return cls(
-            lat,
-            RingMat.from_json(ctx, matrix, lat.rank),
+            QuadLattice(ctx, RingMat.from_json(ctx, gram)),
+            RingMat.from_json(ctx, matrix),
             hodge_line,
             None if ample is None else RingVec.from_json(ctx, ample),
         )
@@ -243,7 +240,7 @@ class LiftingCertificate:
     def __init__(self, ctx, branch, order, gram, matrix, generator, eigenvalue, hodge_line, transcript):
         if branch not in BRANCHES:
             raise InputError(f"field 'branch' must be one of {', '.join(BRANCHES)}")
-        require_tame(ctx, order)
+        require_tame(ctx.p, order)
         self.ctx = ctx
         self.branch = branch
         self.order = int(order)
@@ -279,7 +276,7 @@ class LiftingCertificate:
         branch = field(data, "branch")
         order = int_field(data, "order")
         gram = RingMat.from_json(ctx, field(data, "gram"))
-        matrix = RingMat.from_json(ctx, field(data, "matrix"), gram.rows)
+        matrix = RingMat.from_json(ctx, field(data, "matrix"))
         generator = RingVec.from_json(ctx, field(data, "generator"))
         eigenvalue = field(data, "eigenvalue")
         hodge_line = RingVec.from_json(ctx.residue_context(), field(data, "hodge_line"))
@@ -426,7 +423,7 @@ def lift_finite_height(
     orthogonal to the middle piece by the slope pairing.
     """
     ctx = sd.ctx
-    require_tame(ctx, order, NotWeaklyTame)
+    require_tame(ctx.p, order, NotWeaklyTame)
     a = Isometry(sd.lattice, isometry).matrix
     hodge_line = _hodge_line(sd.lattice, hodge_line)
     # restrict to each piece; the isometry must stabilize every one of them
@@ -478,7 +475,7 @@ def lift_ss_nonsymplectic(inp: SupersingularInput, order: int) -> LiftingCertifi
     from the same eigenspace.
     """
     ctx = inp.ctx
-    require_tame(ctx, order)
+    require_tame(ctx.p, order)
     lam_bar = inp.residue_eigenvalue()
     res = ctx.residue_context()
     if lam_bar == res.one():
@@ -525,7 +522,7 @@ def lift_ss_symplectic(inp: SupersingularInput, order: int) -> LiftingCertificat
     combination then gives a generator fixed by the isometry.
     """
     ctx = inp.ctx
-    require_tame(ctx, order)
+    require_tame(ctx.p, order)
     if inp.ample is None:
         raise InputError("the symplectic branch needs an ample class")
     lam_bar = inp.residue_eigenvalue()

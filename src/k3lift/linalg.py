@@ -26,8 +26,8 @@ indexing, transpose, the products, to_json and from_json.
 RingVec.from_entries and RingMat.from_rows are the one coercion of each:
 they return an array of the same context as it is and raise
 ContextMismatch for one of any other context.  from_json reads what
-to_json writes (a matrix also as a flat row-major list) and hands it to
-that coercion.
+to_json writes (a matrix also as a flat row-major list of plain ints) and
+hands it to that coercion.
 
 Every matrix and vector product goes through _mul_arrays, which picks one
 of three tiers by the bound m·k·(p^n-1)^2 on every partial sum for the
@@ -490,23 +490,16 @@ class RingMat(_RingArray):
         return self.arr.transpose(1, 2, 0).tolist()
 
     @classmethod
-    def from_json(cls, ctx: RingContext, data, rank: int | None = None) -> "RingMat":
-        """Rows of scalars.  A flat row-major list is reshaped when its entries
-        are plain ints and its length is a perfect square, or when the rank is
-        known and the length is rank**2."""
+    def from_json(cls, ctx: RingContext, data) -> "RingMat":
+        """Rows of scalars, or a flat row-major list of r**2 plain ints read
+        as r x r."""
         if not isinstance(data, list) or not data:
             raise InputError("a matrix must be a nonempty list")
-        if rank is None and all(isinstance(e, int) and not isinstance(e, bool) for e in data):
-            rank = isqrt(len(data))
-        if not isinstance(data[0], list) or (
-            data[0] and isinstance(data[0][0], int)
-        ):
-            # flat row-major, or rows of plain ints in the m = 1 case; disambiguate:
-            # rows of ints only make sense when len(row) == rank, flat otherwise
-            if rank is not None and len(data) == rank * rank:
-                data = [data[i * rank : (i + 1) * rank] for i in range(rank)]
-            elif not isinstance(data[0], list):
-                raise InputError("a matrix must be given as rows (or flat with known rank)")
+        if all(isinstance(e, int) and not isinstance(e, bool) for e in data):
+            r = isqrt(len(data))
+            if r * r != len(data):
+                raise InputError(f"a flat matrix needs r*r entries, not {len(data)}")
+            data = [data[i * r : (i + 1) * r] for i in range(r)]
         return cls.from_rows(ctx, data)
 
 

@@ -14,7 +14,7 @@ from .errors import DimensionMismatch
 from .witt import PadicScalar, RingContext
 from .linalg import RingMat, RingVec, inverse
 from .lattice import QuadLattice
-from .isometry import Isometry, require_tame
+from .isometry import Isometry
 from .period import PeriodFrame
 from .torelli import ConnectionData, DeformationPoint, quadric_connection
 
@@ -104,7 +104,6 @@ def random_tame_isometry(
     inverse.  Requires order | p^m - 1 (InsufficientResidueField
     otherwise) and gcd(order, p) = 1.
     """
-    require_tame(ctx, order)
     roots = ctx.nth_roots_of_unity(order)
     exps = _eigenvalue_exponents(rng, rank, order)
     zero, diag, gram0 = ctx.zero(), [], [[ctx.zero()] * rank for _ in range(rank)]

@@ -194,7 +194,7 @@ class ConnectionData:
     @classmethod
     def from_json(cls, data: dict, ctx: RingContext | None = None) -> "ConnectionData":
         frame = PeriodFrame.from_json(field(data, "frame"), ctx)
-        mats = [RingMat.from_json(frame.ctx, mj, frame.rank) for mj in list_field(data, "matrices")]
+        mats = [RingMat.from_json(frame.ctx, mj) for mj in list_field(data, "matrices")]
         return cls(frame, mats)
 
     def __repr__(self) -> str:

@@ -16,9 +16,9 @@ also give the Frobenius lift on the class of x.
 import functools
 import operator
 import sys
-from math import factorial, gcd
+from math import factorial
 
-from .constraints import is_prime, multiplicative_order, prime_factors
+from .constraints import is_prime, multiplicative_order, prime_factors, require_tame
 from .errors import (
     ContextMismatch,
     InputError,
@@ -26,7 +26,6 @@ from .errors import (
     NoConvergence,
     NonSimpleRoot,
     NonUnit,
-    NotTame,
     ValuationViolation,
     int_field,
 )
@@ -127,10 +126,7 @@ def _mul_add_factory(m: int):
 
 def required_extension_degree(p: int, n_roots: int) -> int:
     """Least m with n_roots | p^m - 1, i.e. the multiplicative order of p mod n_roots."""
-    if n_roots <= 0:
-        raise InputError("root count must be positive")
-    if gcd(p, n_roots) != 1:
-        raise NotTame(f"p = {p} divides N = {n_roots}")
+    require_tame(p, n_roots)
     return multiplicative_order(p, n_roots)
 
 
@@ -419,10 +415,7 @@ class RingContext:
     def nth_roots_of_unity(self, n_roots: int) -> list["PadicScalar"]:
         """All N-th roots of unity as Teichmuller lifts, in power order
         [1, z, z^2, ...].  Requires gcd(N, p) = 1 and N | q - 1."""
-        if n_roots < 1:
-            raise InputError("N must be positive")
-        if gcd(n_roots, self.p) != 1:
-            raise NotTame(f"p = {self.p} divides N = {n_roots}")
+        require_tame(self.p, n_roots)
         cached = self._root_cache.get(n_roots)
         if cached is not None:
             return list(cached)

@@ -956,6 +956,75 @@ def test_lift_search_flat_decomposition_gram():
     assert second.stdout == first.stdout
 
 
+def test_lift_search_huge_order_is_refused_before_its_powers():
+    # N = 1,000,002 does not divide q - 1 = 4, so no power of A is formed;
+    # the timeout only detects a hang
+    payload = {**_nonsymplectic_payload(), "order": 1_000_002}
+    proc = subprocess.run(
+        [sys.executable, "-m", "k3lift", "lift-search", "--mode", "ss-nonsymplectic"],
+        input=canonical_dumps(payload).encode(),
+        capture_output=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert err_json(proc)["code"] == "InsufficientResidueField"
+
+
+def _coefficient_flat(rows):
+    """rows as one flat row-major list of scalars in coefficient form."""
+    return [e if isinstance(e, list) else [e] for row in rows for e in row]
+
+
+def _int_flat(rows):
+    """m = 1 rows as one flat row-major list of plain ints."""
+    return [e[0] if isinstance(e, list) else e for row in rows for e in row]
+
+
+# (subcommand, payload, path of a matrix in it, the shape error that an
+# r*r x 1 matrix there raises)
+_MATRIX_READERS = {
+    "verify": (["verify"], lambda: _nonsymplectic_cert().to_json(), ("matrix",),
+               "matrix must be 2 x 2"),
+    "ss-nonsymplectic gram": (["lift-search", "--mode", "ss-nonsymplectic"],
+                              _nonsymplectic_payload, ("gram",), "Gram matrix must be square"),
+    "ss-nonsymplectic matrix": (["lift-search", "--mode", "ss-nonsymplectic"],
+                                _nonsymplectic_payload, ("matrix",), "matrix must be 2 x 2"),
+    "finite-height gram": (["lift-search", "--mode", "finite-height"], _finite_height_payload,
+                           ("decomposition", "gram"), "Gram matrix must be square"),
+    "eig-split": (["eig-split"], _eig_split_payload, ("matrix",), "matrix must be 2 x 2"),
+    "phi-map": (["phi-map"], lambda: {"connection": _connection_payload(), "point": [5]},
+                ("connection", "matrices", 0), "matrix must be 3 x 3"),
+}
+
+
+def _with_matrix(payload, path, flatten):
+    """The text of payload with its matrix at path flattened."""
+    target = payload
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = flatten(target[path[-1]])
+    return canonical_dumps(payload)
+
+
+@pytest.mark.parametrize("args, payload, path, message", _MATRIX_READERS.values(),
+                         ids=_MATRIX_READERS.keys())
+def test_coefficient_form_flat_matrix_is_refused(args, payload, path, message):
+    # a flat list is read as r x r only when its entries are plain ints: r*r
+    # scalars in coefficient form are an r*r x 1 matrix, which the reader's
+    # shape check refuses
+    code, out, err = _main_in_process(args, _with_matrix(payload(), path, _coefficient_flat))
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    assert json.loads(err) == {"code": "DimensionMismatch", "message": message}
+
+
+@pytest.mark.parametrize("args, payload, path, message", _MATRIX_READERS.values(),
+                         ids=_MATRIX_READERS.keys())
+def test_flat_and_row_matrices_agree(args, payload, path, message):
+    rows = _main_in_process(args, canonical_dumps(payload()))
+    assert rows[0] == 0
+    assert _main_in_process(args, _with_matrix(payload(), path, _int_flat)) == rows
+
+
 # -- transport-level behaviors ------------------------------------------------------
 
 

@@ -1,17 +1,33 @@
-"""Arithmetic constraint gates: Euler phi, tameness, order bounds."""
+"""Arithmetic constraint gates: Euler phi, tameness and the one tame-order
+gate every entry point goes through, order bounds."""
 
 from math import gcd
+from random import Random
 
 import pytest
 
 from k3lift import (
     InputError,
+    Isometry,
+    LiftingCertificate,
+    NotTame,
+    NotWeaklyTame,
+    QuadLattice,
+    RingContext,
+    RingMat,
+    SlopeDecomposition,
+    SupersingularInput,
     UNIQUENESS_ORDERS,
+    eigen_split,
     euler_phi,
     is_prime,
+    lift_finite_height,
+    lift_ss_nonsymplectic,
     multiplicative_order,
     phi_bound_scan,
     primes_up_to,
+    random_tame_isometry,
+    required_extension_degree,
     surface_thresholds,
     tameness,
     unique_order_check,
@@ -190,3 +206,54 @@ def test_tame_iff_coprime():
         for n in range(1, 40):
             expected = "tame" if n % p else "wild"
             assert tameness(p, n) == expected
+
+
+C53 = RingContext(5, 3, 1)
+
+
+def _lattice():
+    return QuadLattice(C53, [[5, 1], [1, 0]])
+
+
+def _minus_one():
+    return RingMat.identity(C53, 2).scale(C53.scalar(-1))
+
+
+def _ss_input():
+    return SupersingularInput(_lattice(), _minus_one(), [1, 0])
+
+
+def _certificate_with_order(order):
+    data = lift_ss_nonsymplectic(_ss_input(), 2).to_json()
+    return LiftingCertificate.from_json({**data, "order": order})
+
+
+def _finite_height(order):
+    sd = SlopeDecomposition(QuadLattice(C53, [[0, 1], [1, 0]]), [[1, 0]], [], [[0, 1]])
+    return lift_finite_height(sd, [[1, 0], [0, 1]], order, [0, 1])
+
+
+_TAME_ENTRY_POINTS = {
+    "nth_roots_of_unity": C53.nth_roots_of_unity,
+    "required_extension_degree": lambda order: required_extension_degree(5, order),
+    "eigen_split": lambda order: eigen_split(Isometry(_lattice(), _minus_one()), order),
+    "random_tame_isometry": lambda order: random_tame_isometry(Random(0), C53, 2, order),
+    "LiftingCertificate": _certificate_with_order,
+    "lift_ss_nonsymplectic": lambda order: lift_ss_nonsymplectic(_ss_input(), order),
+    "lift_finite_height": _finite_height,
+}
+
+
+@pytest.mark.parametrize("entry", _TAME_ENTRY_POINTS)
+@pytest.mark.parametrize("order, error, message", [
+    pytest.param(0, InputError, "order must be a positive integer", id="zero"),
+    pytest.param(10, NotTame, "order 10 is divisible by p = 5", id="wild"),
+])
+def test_tame_gate_gives_one_message(entry, order, error, message):
+    # every entry point refuses N < 1 and p | N through constraints.require_tame;
+    # the finite-height builder names its hypothesis, weak tameness
+    if entry == "lift_finite_height" and error is NotTame:
+        error = NotWeaklyTame
+    with pytest.raises((InputError, NotTame)) as info:
+        _TAME_ENTRY_POINTS[entry](order)
+    assert (type(info.value), str(info.value)) == (error, message)

@@ -8,6 +8,7 @@ from k3lift import (
     EigenComponent,
     EigenSplit,
     InputError,
+    InsufficientResidueField,
     Isometry,
     NotEigenvector,
     NotTame,
@@ -131,7 +132,14 @@ def test_eigen_split_rejects_wild_order():
 
 
 def test_eigen_split_rejects_wrong_order():
+    # 3 | q - 1 = 6, so the roots exist and the swap's A^3 != I is what fails
     with pytest.raises(OrderViolation):
+        eigen_split(Isometry(_u(C72), [[0, 1], [1, 0]]), 3)
+
+
+def test_eigen_split_checks_the_roots_before_the_powers():
+    # 3 does not divide q - 1 = 4: that is refused before A^3 != I is seen
+    with pytest.raises(InsufficientResidueField):
         eigen_split(Isometry(_u(C52), [[0, 1], [1, 0]]), 3)
 
 

@@ -63,12 +63,8 @@ def test_vector_and_matrix_from_json():
     assert v == RingVec.from_entries(C53, [1, 2, 3])
     m = matrix_from_json(C53, [[1, 2], [3, 4]])
     assert m == RingMat.from_rows(C53, [[1, 2], [3, 4]])
-    # flat row-major form: plain ints of square length, or a known rank
+    # flat row-major form: plain ints of square length
     assert matrix_from_json(C53, [1, 2, 3, 4]) == m
-    m2 = matrix_from_json(C53, [1, 2, 3, 4], rank=2)
-    assert m2 == m
-    with pytest.raises(InputError):
-        matrix_from_json(C53, [1, 2, 3], rank=2)
     for flat in ([1, 2, 3], [1, 2, 3, True]):
         with pytest.raises(InputError):
             matrix_from_json(C53, flat)

@@ -1,16 +1,17 @@
 """Repository-level checks: no assert statements, no float constants and
 no RingMat isinstance test outside linalg in the package, no matrix shape
 compared outside lattice and linalg, no ring built from a payload outside
-RingContext.of_payload, no use of the ring-array layout outside linalg, no
-raw scalar constructor outside witt and linalg, one home for each
-shape-free ring-array operation, one function that builds a PeriodLine, a
-serialize module that defines only the wire format and that only the entry
-points import, no call-time imports, CLI handlers that read no stream,
-every exported name used outside the tests (by name or through a module,
-not by a method of the same name), an `import k3lift` that loads no
-standard-library module beyond numpy's and json's, the benchmark tracer
-still finds every name it wraps, and the benchmark harness runs end to
-end."""
+RingContext.of_payload, no reader that hands a payload matrix its shape,
+one tame-order gate and no other raise of NotTame, no use of the
+ring-array layout outside linalg, no raw scalar constructor outside witt
+and linalg, one home for each shape-free ring-array operation, one
+function that builds a PeriodLine, a serialize module that defines only
+the wire format and that only the entry points import, no call-time
+imports, CLI handlers that read no stream, every exported name used
+outside the tests (by name or through a module, not by a method of the
+same name), an `import k3lift` that loads no standard-library module
+beyond numpy's and json's, the benchmark tracer still finds every name it
+wraps, and the benchmark harness runs end to end."""
 
 import ast
 import json
@@ -104,6 +105,45 @@ def test_payload_ring_has_one_home():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{func}" for func in _ring_from_json_callers(tree)]
     assert found == ["witt.py:of_payload"]
+
+
+def _passes_a_shape(node):
+    """node calls a from_json attribute or a *_from_json name with more than
+    the payload and its ring."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+    return (name == "from_json" or name.endswith("_from_json")) and (
+        len(node.args) + len(node.keywords) > 2
+    )
+
+
+def test_payload_matrix_reads_its_own_shape():
+    # RingMat.from_json reads rows or a flat r*r list of plain ints, so no
+    # reader decodes another field first to tell it a rank
+    tree = ast.parse((PACKAGE / "linalg.py").read_text(encoding="utf-8"))
+    ringmat = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "RingMat")
+    reader = next(n for n in ringmat.body if isinstance(n, ast.FunctionDef) and n.name == "from_json")
+    assert [a.arg for a in reader.args.args] == ["cls", "ctx", "data"]
+    assert _package_nodes(_passes_a_shape) == []
+
+
+def _tame_gate(node):
+    """node defines require_tame, or raises NotTame or NotWeaklyTame by name."""
+    if isinstance(node, ast.FunctionDef):
+        return node.name == "require_tame"
+    if isinstance(node, ast.Raise) and node.exc is not None:
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return isinstance(exc, ast.Name) and exc.id in ("NotTame", "NotWeaklyTame")
+    return False
+
+
+def test_tame_gate_has_one_home():
+    # an order divisible by p is refused in constraints.require_tame alone,
+    # so every entry point gives the same class and message
+    found = _package_nodes(_tame_gate)
+    assert [f.split(":")[0] for f in found] == ["constraints.py"]
 
 
 def _touches_ring_array_layout(node):
